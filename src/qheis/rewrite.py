@@ -9,12 +9,20 @@ whose tail has strictly smaller total degree.  Normal forms are the
 ascending-ordered monomials; elements are finite sums of monomials with
 exact coefficients.  An overlap checker reduces every three-letter word
 along two strategies and compares the results.
+
+Reduction follows pure q-commutation swaps in place and keeps the branches
+of tail rules in a pending map from word to coefficient, so equal words
+merge before they are reduced.  Pending words are reduced in decreasing
+(degree, inversions), a pair every rewrite lowers, so each distinct word is
+reduced once (Bergman, The diamond lemma for ring theory, Adv. Math. 1978).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import combinations
 from math import comb
 
 from .errors import (
@@ -311,84 +319,143 @@ class Presentation:
                 out.append((g, e))
         return out
 
-    def _descents(self, word):
-        return [
-            i
-            for i in range(len(word) - 1)
-            if word[i][0] > word[i + 1][0] or word[i][0] == word[i + 1][0]
-        ]
+    @staticmethod
+    def _descent(word, strategy):
+        """Position of the descent `strategy` rewrites next, or -1 if none.
+
+        "left" and "right" scan for the outermost descent; an RNG picks one
+        of all descents.
+        """
+        if strategy == "left":
+            for i in range(len(word) - 1):
+                if word[i][0] > word[i + 1][0]:
+                    return i
+            return -1
+        if strategy == "right":
+            for i in range(len(word) - 2, -1, -1):
+                if word[i][0] > word[i + 1][0]:
+                    return i
+            return -1
+        positions = [i for i in range(len(word) - 1) if word[i][0] > word[i + 1][0]]
+        return strategy.choice(positions) if positions else -1
+
+    def _collect(self, out, c, word):
+        """Add c times the normal word `word` to the monomial map `out`."""
+        mono = [0] * len(self.table.names)
+        for g, e in word:
+            mono[g] = e
+        mono = tuple(mono)
+        prev = out.get(mono)
+        s = c if prev is None else prev + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
 
     def _reduce(self, coeff, word, strategy="left"):
-        """Reduce coeff*word to a {monomial: coeff} map."""
+        """Reduce coeff*word to a {monomial: coeff} map.
+
+        A pure q-commutation swap rewrites the current word in place.  When a
+        tail rule fires, its branches that are already normal go straight to
+        the result; the others go into a pending map from word to
+        coefficient, where equal words add up and a zero sum drops the word.
+        A heap hands pending words back by decreasing (degree, inversions);
+        every rewrite strictly lowers that pair, so no word taken from the
+        heap can be produced again and each distinct pending word is reduced
+        once (the order of Bergman's diamond lemma).  A lone branch with
+        nothing else pending would be taken next anyway, so it stays the
+        current word: the map and the heap are made only when two words
+        wait at once.  `strategy` ("left", "right" or an RNG) picks the
+        descent rewritten at each step.
+        """
         out = {}
-        stack = [(coeff, self._merged(word))]
+        rules = self.rules
+        merged = self._merged
+        descent = self._descent
         debug = self._debug
-        while stack:
-            c, w = stack.pop()
-            positions = self._descents(w)
-            if not positions:
-                mono = [0] * len(self.table.names)
-                for g, e in w:
-                    mono[g] = e
-                mono = tuple(mono)
-                prev = out.get(mono)
-                s = c if prev is None else prev + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-                continue
-            if strategy == "left":
-                pos = positions[0]
-            elif strategy == "right":
-                pos = positions[-1]
+        pending = heap = None
+        c, w = coeff, merged(word)
+        while True:
+            pos = descent(w, strategy)
+            if pos < 0:
+                self._collect(out, c, w)
             else:
-                pos = strategy.choice(positions)
-            g, a = w[pos]
-            h, b = w[pos + 1]
-            before = self._measure(w) if debug else None
-            new_items = []
-            if g == h:
-                new_items.append((c, self._merged(w[: pos] + [(g, a + b)] + w[pos + 2:])))
-            else:
-                rule = self.rules[(g, h)]
+                g, a = w[pos]
+                h, b = w[pos + 1]
+                rule = rules[(g, h)]
+                before = self._measure(w) if debug else None
                 if not rule.tail:
-                    s = rule.swap ** (a * b)
-                    new_items.append(
-                        (c * s, self._merged(w[:pos] + [(h, b), (g, a)] + w[pos + 2:]))
-                    )
-                else:
-                    # tails only occur between non-invertible generators,
-                    # so a, b >= 1 and a single-letter peel is enough
-                    if a < 1 or b < 1:
-                        raise PresentationError(
-                            "tail rule on a negative power: "
-                            f"{self.table.names[g]}^{a}*{self.table.names[h]}^{b}"
+                    c = c * rule.swap ** (a * b)
+                    w = merged(w[:pos] + [(h, b), (g, a)] + w[pos + 2:])
+                    if debug:
+                        assert self._measure(w) < before, (
+                            "termination measure failed to decrease"
                         )
-                    head, rest = w[:pos], w[pos + 2:]
-                    new_items.append(
-                        (
-                            c * rule.swap,
-                            self._merged(
-                                head + [(g, a - 1), (h, 1), (g, 1), (h, b - 1)] + rest
-                            ),
-                        )
+                    continue
+                # tails only occur between non-invertible generators,
+                # so a, b >= 1 and a single-letter peel is enough
+                if a < 1 or b < 1:
+                    raise PresentationError(
+                        "tail rule on a negative power: "
+                        f"{self.table.names[g]}^{a}*{self.table.names[h]}^{b}"
                     )
-                    for tmono, tc in rule.tail:
-                        tw = self._word_of_mono(tmono)
-                        new_items.append(
-                            (
-                                c * tc,
-                                self._merged(head + [(g, a - 1)] + tw + [(h, b - 1)] + rest),
-                            )
-                        )
-            if debug:
-                for _, nw in new_items:
-                    assert self._measure(nw) < before, (
-                        "termination measure failed to decrease"
+                head, rest = w[:pos], w[pos + 2:]
+                branches = [
+                    (
+                        c * rule.swap,
+                        merged(head + [(g, a - 1), (h, 1), (g, 1), (h, b - 1)] + rest),
                     )
-            stack.extend(new_items)
-        return out
+                ]
+                for tmono, tc in rule.tail:
+                    tw = self._word_of_mono(tmono)
+                    branches.append(
+                        (c * tc, merged(head + [(g, a - 1)] + tw + [(h, b - 1)] + rest))
+                    )
+                live = []
+                for bc, bw in branches:
+                    if debug:
+                        assert self._measure(bw) < before, (
+                            "termination measure failed to decrease"
+                        )
+                    if descent(bw, "left") < 0:
+                        self._collect(out, bc, bw)
+                    else:
+                        live.append((bc, bw))
+                if len(live) == 1 and not pending:
+                    c, w = live[0]
+                    continue
+                if pending is None:
+                    pending, heap = {}, []
+                    degs = self.table.degrees
+                for bc, bw in live:
+                    key = tuple(bw)
+                    prev = pending.get(key)
+                    if prev is not None:
+                        s = prev + bc
+                        if s:
+                            pending[key] = s
+                        else:
+                            del pending[key]
+                        continue
+                    pending[key] = bc
+                    # minus the (degree, inversions) of _measure, inline and
+                    # only for new words, to keep short words cheap
+                    deg = inv = 0
+                    for gi, ei in key:
+                        if ei > 0:
+                            deg += degs[gi] * ei
+                    for (gi, ei), (gj, ej) in combinations(key, 2):
+                        if gi > gj:
+                            inv += abs(ei * ej)
+                    heappush(heap, (-deg, -inv, key))
+            # a word whose sum cancelled to zero is still in the heap; skip it
+            c = None
+            while heap and c is None:
+                key = heappop(heap)[2]
+                c = pending.pop(key, None)
+            if c is None:
+                return out
+            w = list(key)
 
     def normal_form(self, x, strategy="left"):
         """Normal form of an Element or of a word [(name, exp), ...]."""

@@ -257,3 +257,19 @@ def test_debug_measure_assertion(p11, monkeypatch):
         dq._reduce(1, list(word))
     monkeypatch.delenv("QHEIS_DEBUG")
     make_Dq.cache_clear()
+
+
+def test_debug_measure_assertion_negative_control(p11, monkeypatch):
+    """With a measure that never decreases, the debug check fires on a pure
+    q-commutation swap and on the branches of a tail rule alike."""
+    base = make_Dq(p11)
+    monkeypatch.setenv("QHEIS_DEBUG", "1")
+    dq = Presentation(base.table, base.rules)
+    assert dq._debug
+    monkeypatch.setattr(dq, "_measure", lambda word: (0, 0, 0))
+    i = dq.index
+    swap_word = [(i["b"], 1), (i["a"], 1)]  # b*a = q^-n a*b
+    tail_word = [(i["E"], 1), (i["c"], 1)]  # E*c = c*E + q^-1 K*a^-1
+    for word in (swap_word, tail_word):
+        with pytest.raises(AssertionError, match="termination measure"):
+            dq._reduce(1, word)
