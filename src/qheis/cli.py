@@ -8,6 +8,7 @@ seed.  Exit status is 0 exactly when every emitted check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,7 +72,6 @@ def _add_common(sub, algebra_default=None):
     sub.add_argument("--deg", type=int, default=None)
     sub.add_argument("--window", type=int, default=4)
     sub.add_argument("--q", default=None, metavar="P/R", help="evaluate at a rational q")
-    sub.add_argument("--json", action="store_true", help="accepted for compatibility")
     if algebra_default is not None:
         sub.add_argument(
             "--algebra",
@@ -94,7 +94,10 @@ def _q0_of(args):
     return Fraction(args.q)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and building it costs far more than parsing."""
     ap = argparse.ArgumentParser(
         prog="qheis",
         description="exact computations in the quantum Euclidean group family",

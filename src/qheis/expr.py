@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import ExprSyntaxError, UnknownGenerator
 from .presets import S_ORDERS, AlgebraParams, make_Dq, make_Oq, make_S, make_Uq
 from .presets import primed_in_D, torus_of_S_quotient
-from .qfield import QScalar, qpow
+from .qfield import QScalar, inverse, qpow
 from .rewrite import Element
 
 
@@ -347,7 +347,8 @@ def _eval(node, ctx: Context):
         if node.op == "*":
             return _mul(left, right, ctx)
         if node.op == "/":
-            return _mul(left, _invert(right, ctx), ctx)
+            inv = right.inverse_monomial() if isinstance(right, Element) else inverse(right)
+            return _mul(left, inv, ctx)
     raise TypeError(type(node))
 
 
@@ -378,10 +379,3 @@ def _mul(left, right, ctx):
         return right.scale(left)
     return left * right
 
-
-def _invert(v, ctx):
-    if isinstance(v, Element):
-        return v.inverse_monomial()
-    if isinstance(v, int):
-        return Fraction(1, v)
-    return 1 / v

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import MismatchedParams, NegativePowerOfNonInvertible, UnknownGenerator
 from .presets import AlgebraParams, make_Dq, make_Oq, make_Uq
-from .qfield import ONE, ZERO, qpow, scalar_text
+from .qfield import ONE, ZERO, add_scaled, qpow, scalar_text
 from .rewrite import Element, Presentation
 
 
@@ -32,6 +32,14 @@ class TensorElement:
         u = tuple([0] * len(pres.table.names))
         return cls(pres, {(u, u): 1})
 
+    @classmethod
+    def outer(cls, x: Element, y: Element) -> "TensorElement":
+        """x (x) y for two elements of one presentation."""
+        return cls(
+            x.pres,
+            {(ml, mr): cl * cr for ml, cl in x.terms.items() for mr, cr in y.terms.items()},
+        )
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -41,15 +49,7 @@ class TensorElement:
         return self.pres.table.names == other.pres.table.names and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            s = c if prev is None else prev + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElement(self.pres, out)
+        return TensorElement(self.pres, add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return TensorElement(self.pres, {k: -c for k, c in self.terms.items()})
@@ -72,17 +72,7 @@ class TensorElement:
             for (l2, r2), c2 in other.terms.items():
                 left = pres.multiply(pres.monomial(l1), pres.monomial(l2))
                 right = pres.multiply(pres.monomial(r1), pres.monomial(r2))
-                c = c1 * c2
-                for ml, cl in left.terms.items():
-                    for mr, cr in right.terms.items():
-                        w = c * cl * cr
-                        key = (ml, mr)
-                        prev = out.get(key)
-                        s = w if prev is None else prev + w
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                add_scaled(out, TensorElement.outer(left, right).terms, c1 * c2)
         return TensorElement(pres, out)
 
     def __str__(self):
@@ -285,16 +275,10 @@ def check_hopf_axioms(h: HopfStructure, degree_bound=3, samples=100, seed=0) -> 
         left: dict = {}
         right: dict = {}
         for (m1, m2), c in dx.terms.items():
-            for (a1, a2), c2 in h._delta_mono(m1).terms.items():
-                key = (a1, a2, m2)
-                w = c * c2
-                left[key] = left.get(key, ZERO) + w
-            for (b1, b2), c2 in h._delta_mono(m2).terms.items():
-                key = (m1, b1, b2)
-                w = c * c2
-                right[key] = right.get(key, ZERO) + w
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
+            d1 = h._delta_mono(m1).terms
+            add_scaled(left, {(a1, a2, m2): c2 for (a1, a2), c2 in d1.items()}, c)
+            d2 = h._delta_mono(m2).terms
+            add_scaled(right, {(m1, b1, b2): c2 for (b1, b2), c2 in d2.items()}, c)
         if left != right:
             sample_failures.append((k, "coassociativity"))
         # counit laws

@@ -12,18 +12,55 @@ certificate, NotDetected only means not found at this bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BoundMismatch, DegreeTooSmall
 from .presets import AlgebraParams, make_S, torus_of_S_quotient
-from .qfield import ONE, ZERO, QScalar, qpow
+from .qfield import ONE, ZERO, QScalar, add_scaled, inverse, qpow
 from .rewrite import Element, Presentation
 
 
-def _div(c, lc):
-    if isinstance(c, int):
-        c = Fraction(c)
-    return c / lc
+class Echelon:
+    """Row-echelon form of sparse rows {key: coeff}, grown one row at a time.
+
+    Each row is monic and stored under its lead, the key that is largest
+    under `key`; its rank is the number of rows inserted before it.
+    """
+
+    def __init__(self, key):
+        self.key = key
+        self.rows: dict = {}
+        self.order: list = []
+        self.rank: dict = {}
+
+    def reduce(self, terms, below=None, steps=None) -> dict:
+        """Remainder of `terms` after cancelling every lead that has a row
+        (of rank < `below`, when given); stops at the first lead without
+        one.  Each cancellation appends (factor, lead) to `steps`."""
+        terms = dict(terms)
+        while terms:
+            lead = max(terms, key=self.key)
+            row = self.rows.get(lead)
+            if row is None or (below is not None and self.rank[lead] >= below):
+                break
+            factor = terms[lead]
+            add_scaled(terms, row, -factor)
+            if steps is not None:
+                steps.append((factor, lead))
+        return terms
+
+    def insert(self, terms):
+        """Add the remainder of `terms` as a new row; (lead, leading
+        coefficient before normalization), or None when it reduces to 0."""
+        rem = self.reduce(terms)
+        if not rem:
+            return None
+        lead = max(rem, key=self.key)
+        lc = rem[lead]
+        inv = inverse(lc)
+        self.rank[lead] = len(self.order)
+        self.rows[lead] = {m: c * inv for m, c in rem.items()}
+        self.order.append(lead)
+        return lead, lc
 
 
 class TruncatedIdeal:
@@ -34,46 +71,18 @@ class TruncatedIdeal:
         self.generators = [spres.normal_form(g) for g in generators]
         self.side = side
         self.degree_bound = degree_bound
-        # pivots: lead monomial -> monic row terms
-        self.pivots: dict = {}
-        self.pivot_order: list = []
-        self._rank: dict = {}
+        self.echelon = Echelon(spres.term_key)
         # provenance: pivot lead -> (move, lead coeff before normalization);
         # a move is ("gen", idx) or ("left"/"right", gen_index, parent_lead)
         self._moves: dict = {}
         self._combos = None
         self._build()
 
-    # -- linear algebra ----------------------------------------------------------
-
-    def _lead(self, terms):
-        return max(terms, key=self.spres.term_key)
-
-    def _reduce_terms(self, terms, max_rank=None):
-        terms = dict(terms)
-        while terms:
-            lead = self._lead(terms)
-            prow = self.pivots.get(lead)
-            if prow is None or (max_rank is not None and self._rank[lead] >= max_rank):
-                return terms
-            factor = terms[lead]
-            for m, c in prow.items():
-                w = terms.get(m, ZERO) - factor * c
-                if w:
-                    terms[m] = w
-                else:
-                    terms.pop(m, None)
-        return terms
-
     def _insert(self, terms, move):
-        rem = self._reduce_terms(terms)
-        if not rem:
+        got = self.echelon.insert(terms)
+        if got is None:
             return None
-        lead = self._lead(rem)
-        lc = rem[lead]
-        self._rank[lead] = len(self.pivot_order)
-        self.pivots[lead] = {m: _div(c, lc) for m, c in rem.items()}
-        self.pivot_order.append(lead)
+        lead, lc = got
         self._moves[lead] = (move, lc)
         return lead
 
@@ -99,7 +108,7 @@ class TruncatedIdeal:
         while pos < len(queue):
             lead = queue[pos]
             pos += 1
-            row = Element(self.spres, dict(self.pivots[lead]))
+            row = Element(self.spres, dict(self.echelon.rows[lead]))
             for gi, g in enumerate(gens):
                 for side in sides:
                     prod = (
@@ -117,12 +126,13 @@ class TruncatedIdeal:
 
     @property
     def dimension(self):
-        return len(self.pivots)
+        return len(self.echelon.rows)
 
     def basis(self):
+        rows = self.echelon.rows
         return [
-            Element(self.spres, dict(self.pivots[lead]))
-            for lead in sorted(self.pivot_order, key=self.spres.term_key)
+            Element(self.spres, dict(rows[lead]))
+            for lead in sorted(self.echelon.order, key=self.spres.term_key)
         ]
 
     def member(self, x: Element) -> str:
@@ -132,7 +142,7 @@ class TruncatedIdeal:
             raise DegreeTooSmall(
                 f"element degree {x.degree()} exceeds bound {self.degree_bound}"
             )
-        return "Verified" if not self._reduce_terms(x.terms) else "NotDetected"
+        return "Verified" if not self.echelon.reduce(x.terms) else "NotDetected"
 
     # -- certificates -------------------------------------------------------------
 
@@ -144,7 +154,7 @@ class TruncatedIdeal:
         spres = self.spres
         unit = tuple([0] * len(spres.table.names))
         combos: dict = {}
-        for my_rank, lead in enumerate(self.pivot_order):
+        for my_rank, lead in enumerate(self.echelon.order):
             (move, lc) = self._moves[lead]
             if move[0] == "gen":
                 raw = {(unit, move[1], unit): ONE}
@@ -167,27 +177,12 @@ class TruncatedIdeal:
                             raw[key] = raw.get(key, ZERO) + c * cc
                 raw = {k: v for k, v in raw.items() if v}
             # replay the insert-time reduction against the earlier pivots only
-            rem = dict(self._value_of_combo(raw).terms)
+            steps = []
+            self.echelon.reduce(self._value_of_combo(raw).terms, my_rank, steps)
             combo = dict(raw)
-            while rem:
-                rlead = self._lead(rem)
-                prow = self.pivots.get(rlead)
-                if prow is None or self._rank[rlead] >= my_rank:
-                    break
-                factor = rem[rlead]
-                for m, c in prow.items():
-                    w = rem.get(m, ZERO) - factor * c
-                    if w:
-                        rem[m] = w
-                    else:
-                        rem.pop(m, None)
-                for k, c in combos[rlead].items():
-                    w = combo.get(k, ZERO) - factor * c
-                    if w:
-                        combo[k] = w
-                    else:
-                        combo.pop(k, None)
-            inv = _div(ONE, lc)
+            for factor, rlead in steps:
+                add_scaled(combo, combos[rlead], -factor)
+            inv = inverse(lc)
             combos[lead] = {k: c * inv for k, c in combo.items()}
         self._combos = combos
         return combos
@@ -208,26 +203,12 @@ class TruncatedIdeal:
         sum coeff * m1 * gen * m2 == x, or None when not in the span."""
         x = self.spres.normal_form(x)
         combos = self._combo_of_pivots()
-        rem = dict(x.terms)
+        steps = []
+        if self.echelon.reduce(x.terms, steps=steps):
+            return None
         out: dict = {}
-        while rem:
-            lead = self._lead(rem)
-            prow = self.pivots.get(lead)
-            if prow is None:
-                return None
-            factor = rem[lead]
-            for m, c in prow.items():
-                w = rem.get(m, ZERO) - factor * c
-                if w:
-                    rem[m] = w
-                else:
-                    rem.pop(m, None)
-            for k, c in combos[lead].items():
-                w = out.get(k, ZERO) + factor * c
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
+        for factor, lead in steps:
+            add_scaled(out, combos[lead], factor)
         return [(c, m1, idx, m2) for (m1, idx, m2), c in out.items()]
 
     def replay_certificate(self, cert) -> Element:

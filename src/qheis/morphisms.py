@@ -19,7 +19,7 @@ from .presets import (
     params,
     primed_in_D,
 )
-from .qfield import QScalar
+from .qfield import QScalar, inverse
 from .rewrite import Element, Presentation, substitute
 
 
@@ -32,7 +32,6 @@ class Morphism:
     images: dict
     name: str = ""
     _pow_cache: dict = field(default_factory=dict, repr=False)
-    _inv_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for gname in self.source.table.names:
@@ -43,31 +42,10 @@ class Morphism:
             self.images[gname] = img
             if self.source.table.invertible[i]:
                 # must be a one-term monomial on invertible generators
-                self._inv_cache[gname] = img.inverse_monomial()
+                self._pow_cache[(gname, -1)] = img.inverse_monomial()
 
     def apply(self, x: Element) -> Element:
-        tgt = self.target
-        out = tgt.zero()
-        names = self.source.table.names
-        for mono, coeff in x.terms.items():
-            acc = tgt.one()
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                acc = tgt.multiply(acc, self._power(names[i], e))
-            out = out + acc.scale(coeff)
-        return out
-
-    def _power(self, gname, e):
-        key = (gname, e)
-        cached = self._pow_cache.get(key)
-        if cached is None:
-            if e >= 0:
-                cached = self.target.power(self.images[gname], e)
-            else:
-                cached = self.target.power(self._inv_cache[gname], -e)
-            self._pow_cache[key] = cached
-        return cached
+        return substitute(x, self.images, self.target, self._pow_cache)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -133,22 +111,12 @@ def check_hopf_compatibility(f: Morphism, h_src, h_tgt) -> bool:
     """Delta_target(f(g)) == (f (x) f)(Delta_source(g)) on every generator."""
     for gname in f.source.table.names:
         lhs = h_tgt.coproduct(f.images[gname])
-        rhs_terms: dict = {}
-        src_gen = f.source.gen(gname)
-        for (m1, m2), c in h_src.coproduct(src_gen).terms.items():
+        rhs = TensorElement(f.target, {})
+        for (m1, m2), c in h_src.coproduct(f.source.gen(gname)).terms.items():
             left = f.apply(f.source.monomial(m1))
             right = f.apply(f.source.monomial(m2))
-            for ml, cl in left.terms.items():
-                for mr, cr in right.terms.items():
-                    key = (ml, mr)
-                    w = c * cl * cr
-                    prev = rhs_terms.get(key)
-                    s = w if prev is None else prev + w
-                    if s:
-                        rhs_terms[key] = s
-                    else:
-                        rhs_terms.pop(key, None)
-        if lhs != TensorElement(f.target, rhs_terms):
+            rhs = rhs + TensorElement.outer(left, right).scale(c)
+        if lhs != rhs:
             return False
     return True
 
@@ -211,6 +179,7 @@ def _extend_torus_S_map(p: AlgebraParams, dq, K_img, a_img, s_images, name) -> M
     images = {"K": K_img, "a": a_img}
     K_inv = K_img.inverse_monomial()
     a_inv = a_img.inverse_monomial()
+    cache: dict = {}
     for gname in ("b", "c", "E", "F"):
         img = dq.zero()
         for (k, l), s_el in factorize_D(p, dq.gen(gname)):
@@ -218,7 +187,7 @@ def _extend_torus_S_map(p: AlgebraParams, dq, K_img, a_img, s_images, name) -> M
                 dq.power(K_img if k >= 0 else K_inv, abs(k)),
                 dq.power(a_img if l >= 0 else a_inv, abs(l)),
             )
-            img = img + dq.multiply(torus, substitute(s_el, embed, dq))
+            img = img + dq.multiply(torus, substitute(s_el, embed, dq, cache))
         images[gname] = img
     return Morphism(dq, dq, images, name=name)
 
@@ -258,18 +227,10 @@ def xi_Dq(p: AlgebraParams, z3, z4) -> Morphism:
     s_images = {
         "Ep": ps.eP.scale(z3),
         "Fp": ps.fP.scale(z4),
-        "cp": ps.cP.scale(_inv(z3)),
-        "bp": ps.bP.scale(_inv(z4)),
+        "cp": ps.cP.scale(inverse(z3)),
+        "bp": ps.bP.scale(inverse(z4)),
     }
     return _extend_torus_S_map(p, dq, dq.gen("K"), dq.gen("a"), s_images, name="xi")
-
-
-def _inv(z):
-    from fractions import Fraction
-
-    if isinstance(z, int):
-        return Fraction(1, z)
-    return 1 / z
 
 
 def solve_zeta_twist(p: AlgebraParams, A, B):

@@ -287,10 +287,11 @@ def recombine_D(p: AlgebraParams, parts) -> Element:
     dq = make_Dq(p)
     ps = primed_in_D(p)
     images = {"Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
+    cache: dict = {}
     acc = dq.zero()
     for (k, l), s_el in parts:
         torus = dq.normal_form([("K", k), ("a", l)])
-        acc = acc + dq.multiply(torus, substitute(s_el, images, dq))
+        acc = acc + dq.multiply(torus, substitute(s_el, images, dq, cache))
     return acc
 
 

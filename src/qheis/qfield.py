@@ -482,14 +482,7 @@ class LaurentQ:
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return LaurentQ(out)
+        return LaurentQ(add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return LaurentQ({k: -v for k, v in self.terms.items()})
@@ -500,41 +493,47 @@ class LaurentQ:
     def __mul__(self, other):
         out: dict[int, Fraction] = {}
         for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
+            add_scaled(out, {k1 + k2: v2 for k2, v2 in other.terms.items()}, v1)
         return LaurentQ(out)
 
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "q" if k == 1 else f"q^{k}"
-            else:
-                body = f"{mag}*q" if k == 1 else f"{mag}*q^{k}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        lo = min(self.terms)
+        dense = [self.terms.get(k, 0) for k in range(lo, max(self.terms) + 1)]
+        return _poly_text(dense, lo)
 
     def __repr__(self):
         return f"LaurentQ({self})"
 
 
 # ---------------------------------------------------------------------------
-# helpers shared by renderers (duck-typed over QScalar / Fraction / int)
+# coefficient helpers (duck-typed over QScalar / Fraction / int)
+
+
+def add_scaled(out: dict, terms: dict, c=None) -> dict:
+    """Add c * terms (terms itself when c is None) into `out` and return it.
+
+    A key whose sum is zero is dropped.  A key new to `out` takes the
+    product as it is, so int and Fraction coefficients keep their type.
+    """
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        prev = out.get(k)
+        s = v if prev is None else prev + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def inverse(c):
+    """Exact 1/c of a QScalar, Fraction or int; an int gives a Fraction."""
+    if isinstance(c, QScalar):
+        return c.inv()
+    return Fraction(1) / c
 
 
 def scalar_is_negative(c) -> bool:

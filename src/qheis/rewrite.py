@@ -30,18 +30,9 @@ from .errors import (
     PresentationError,
     UnknownGenerator,
 )
-from .qfield import scalar_is_negative, scalar_is_simple, scalar_text
+from .qfield import add_scaled, inverse, scalar_is_negative, scalar_is_simple, scalar_text
 
 Monomial = tuple  # integer exponent vector indexed by generator order
-
-
-def _inv_scalar(c):
-    """Exact multiplicative inverse across int / Fraction / QScalar coefficients."""
-    from fractions import Fraction
-
-    if isinstance(c, int):
-        return Fraction(1, c)
-    return 1 / c
 
 
 @dataclass(frozen=True)
@@ -96,15 +87,7 @@ class Element:
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Element(self.pres, out)
+        return Element(self.pres, add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return Element(self.pres, {m: -c for m, c in self.terms.items()})
@@ -143,7 +126,7 @@ class Element:
         if any(e and not inv[i] for i, e in enumerate(mono)):
             raise NegativePowerOfNonInvertible(self.pres.render_monomial(mono))
         word = [(i, -e) for i, e in reversed(list(enumerate(mono))) if e]
-        out = self.pres._reduce(_inv_scalar(coeff), word)
+        out = self.pres._reduce(inverse(coeff), word)
         return Element(self.pres, out)
 
     def __str__(self):
@@ -205,7 +188,7 @@ class Presentation:
             if iu > iv:
                 rule = RewriteRule(iu, iv, swap, tuple(tail_terms))
             else:
-                s = _inv_scalar(swap)
+                s = inverse(swap)
                 rule = RewriteRule(
                     iv, iu, s, tuple((m, -(s * c)) for m, c in tail_terms)
                 )
@@ -249,14 +232,7 @@ class Presentation:
         for coeff, word in terms:
             if not coeff:
                 continue
-            reduced = self._reduce(coeff, self._validate_word(word))
-            for m, c in reduced.items():
-                prev = out.get(m)
-                s = c if prev is None else prev + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+            add_scaled(out, self._reduce(coeff, self._validate_word(word)))
         return Element(self, out)
 
     def _validate_word(self, word):
@@ -344,13 +320,7 @@ class Presentation:
         mono = [0] * len(self.table.names)
         for g, e in word:
             mono[g] = e
-        mono = tuple(mono)
-        prev = out.get(mono)
-        s = c if prev is None else prev + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
+        add_scaled(out, {tuple(mono): c})
 
     def _reduce(self, coeff, word, strategy="left"):
         """Reduce coeff*word to a {monomial: coeff} map.
@@ -462,13 +432,7 @@ class Presentation:
         if isinstance(x, Element):
             out = {}
             for mono, c in x.terms.items():
-                for m, v in self._reduce(c, self._word_of_mono(mono), strategy).items():
-                    prev = out.get(m)
-                    s = v if prev is None else prev + v
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                add_scaled(out, self._reduce(c, self._word_of_mono(mono), strategy))
             return Element(self, out)
         return Element(self, self._reduce(1, self._validate_word(x), strategy))
 
@@ -485,15 +449,7 @@ class Presentation:
                     word = self._word_of_mono(m1) + self._word_of_mono(m2)
                     prod = self._reduce(1, word)
                     cache[(m1, m2)] = prod
-                c = c1 * c2
-                for m, v in prod.items():
-                    w = c * v
-                    prev = out.get(m)
-                    s = w if prev is None else prev + w
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                add_scaled(out, prod, c1 * c2)
         return Element(self, out)
 
     def commutator(self, x: Element, y: Element) -> Element:
@@ -612,35 +568,36 @@ class Presentation:
         return text
 
 
-def substitute(x: Element, images: dict, target: Presentation) -> Element:
+def substitute(x: Element, images: dict, target: Presentation, cache=None) -> Element:
     """Push an element through generator images living in `target`.
 
     `images` maps source generator names to target Elements; negative
     exponents require the image to be an invertible one-term monomial.
+    `cache` maps (name, exponent) to the image power; callers that push
+    many elements through the same images pass the same dict.
     """
+    if cache is None:
+        cache = {}
     names = x.pres.table.names
-    inv_cache = {}
-    pow_cache = {}
     out = target.zero()
     for mono, coeff in x.terms.items():
         acc = target.one()
         for i, e in enumerate(mono):
-            if not e:
-                continue
-            name = names[i]
-            key = (name, e)
-            img = pow_cache.get(key)
-            if img is None:
-                base = images[name]
-                if e < 0:
-                    invb = inv_cache.get(name)
-                    if invb is None:
-                        invb = base.inverse_monomial()
-                        inv_cache[name] = invb
-                    img = target.power(invb, -e)
-                else:
-                    img = target.power(base, e)
-                pow_cache[key] = img
-            acc = target.multiply(acc, img)
+            if e:
+                acc = target.multiply(acc, _image_power(images, target, cache, names[i], e))
         out = out + acc.scale(coeff)
     return out
+
+
+def _image_power(images, target, cache, name, e):
+    """images[name]^e in `target`, kept in `cache` under (name, e)."""
+    img = cache.get((name, e))
+    if img is None:
+        if e == -1:
+            img = images[name].inverse_monomial()
+        elif e < 0:
+            img = target.power(_image_power(images, target, cache, name, -1), -e)
+        else:
+            img = target.power(images[name], e)
+        cache[(name, e)] = img
+    return img

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qfield import QScalar, qpow
+from .qfield import QScalar, add_scaled, qpow
 from .rewrite import Element, Presentation
 
 
@@ -38,13 +38,7 @@ def random_element(
     terms = {}
     for _ in range(rng.randint(1, n_terms)):
         mono = random_monomial(pres, rng, max_degree, torus_window)
-        c = random_scalar(rng)
-        prev = terms.get(mono)
-        s = c if prev is None else prev + c
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
+        add_scaled(terms, {mono: random_scalar(rng)})
     return Element(pres, terms)
 
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DegreeTooSmall, TruncationOverflow, WrongOrder, ZeroVector
 from .presets import S_ORDERS, AlgebraParams, factorize_D, make_Dq, make_S
-from .qfield import ONE, ZERO, qpow, scalar_text
+from .ideals import Echelon
+from .qfield import ONE, ZERO, add_scaled, qpow, scalar_text
 from .rewrite import Element
 
 # family -> (order, {generator acting by sigma, generator acting by tau})
@@ -88,15 +90,8 @@ class QuotientModule:
                     coeff = coeff * _scal_pow(self._scalars[gi], e)
                     if not coeff:
                         break
-            if not coeff:
-                continue
-            key = (mono[0], mono[1])
-            prev = out.get(key)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            if coeff:
+                add_scaled(out, {(mono[0], mono[1]): coeff})
         return out
 
     def _letter_action(self, gi: int, key) -> dict:
@@ -127,22 +122,9 @@ class QuotientModule:
                 for _ in range(e):
                     nxt: dict = {}
                     for key, coeff in current.items():
-                        for k2, c2 in self._letter_action(gi, key).items():
-                            w = coeff * c2
-                            prev = nxt.get(k2)
-                            sm = w if prev is None else prev + w
-                            if sm:
-                                nxt[k2] = sm
-                            else:
-                                nxt.pop(k2, None)
+                        add_scaled(nxt, self._letter_action(gi, key), coeff)
                     current = nxt
-            for key, coeff in current.items():
-                prev = out.get(key)
-                sm = coeff if prev is None else prev + coeff
-                if sm:
-                    out[key] = sm
-                else:
-                    out.pop(key, None)
+            add_scaled(out, current)
         return out
 
     def render_vector(self, vec: dict) -> str:
@@ -223,15 +205,7 @@ class WeightModule:
                     )
                 diag_layer = t2 if self.kind == "K" else t
                 scal = _scal_pow(self.eigenvalue(diag_layer), diag_exp) if diag_exp else ONE
-                for (i2, j2), c2 in acted.items():
-                    key = (t2, i2, j2)
-                    w = c2 * scal
-                    prev = out.get(key)
-                    sm = w if prev is None else prev + w
-                    if sm:
-                        out[key] = sm
-                    else:
-                        out.pop(key, None)
+                add_scaled(out, {(t2, i2, j2): c2 for (i2, j2), c2 in acted.items()}, scal)
         return out
 
     def dim_filtration(self, d: int) -> int:
@@ -261,58 +235,17 @@ def cyclicity_probe(mod: QuotientModule, w: dict, mult_degree: int) -> str:
     Undetermined (a finite probe cannot refute simplicity)."""
     if not w:
         raise ZeroVector("probe needs a nonzero vector")
-    target = dict(mod.cyclic_vector())
-    pivots: dict = {}
-
-    def reduce(vec):
-        vec = dict(vec)
-        while vec:
-            lead = max(vec, key=_vec_key_order)
-            if lead not in pivots:
-                return vec
-            factor = vec[lead]
-            for k2, c2 in pivots[lead].items():
-                wv = vec.get(k2, ZERO) - factor * c2
-                if wv:
-                    vec[k2] = wv
-                else:
-                    vec.pop(k2, None)
-        return vec
-
-    def insert(vec):
-        nonlocal target
-        vec = reduce(vec)
-        if not vec:
-            return False
-        lead = max(vec, key=_vec_key_order)
-        lc = vec[lead]
-        pivots[lead] = {k: _div(c, lc) for k, c in vec.items()}
-        target = reduce(target)
-        return True
-
-    target = reduce(target)
-    if not target:
-        return "Cyclic"
-    from itertools import product
-
-    names = mod.spres.table.names
+    echelon = Echelon(_vec_key_order)
+    target = mod.cyclic_vector()
     for total in range(mult_degree + 1):
         for exps in product(range(total + 1), repeat=4):
             if sum(exps) != total:
                 continue
-            s = mod.spres.monomial(exps)
-            insert(mod.act(s, w))
-            if not target:
-                return "Cyclic"
-    return "Cyclic" if not target else "Undetermined"
-
-
-def _div(c, lc):
-    from fractions import Fraction
-
-    if isinstance(c, int):
-        c = Fraction(c)
-    return c / lc
+            if echelon.insert(mod.act(mod.spres.monomial(exps), w)) is not None:
+                target = echelon.reduce(target)
+                if not target:
+                    return "Cyclic"
+    return "Undetermined"
 
 
 def growth_exponent(obj, d_max: int) -> float:

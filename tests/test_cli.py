@@ -4,7 +4,9 @@ import io
 import json
 from contextlib import redirect_stdout
 
-from qheis.cli import main
+import pytest
+
+from qheis.cli import _dispatch, build_parser, main
 
 
 def run_cli(argv):
@@ -181,3 +183,25 @@ def test_env_seed(monkeypatch):
     code, out = run_cli(["verify", "--suite", "smash"])
     assert code == 0
     assert lines_of(out)[-1]["seed"] == 11
+
+
+def test_cached_parser_matches_fresh_parser():
+    """main reuses one parser; each call must print what a newly built
+    parser prints, whatever options the calls before it passed."""
+    assert build_parser() is build_parser()
+    runs = [
+        ["nf", "--q=3/2", "E*c"],
+        ["nf", "E*c"],
+        ["nf", "--algebra", "S", "--order", "J3", "--m", "2", "--n", "-3", "cp*Ep"],
+        ["nf", "E*c"],
+    ]
+    for argv in runs:
+        code, cached = run_cli(argv)
+        fresh = io.StringIO()
+        assert _dispatch(build_parser.__wrapped__().parse_args(argv), fresh) == code == 0
+        assert cached == fresh.getvalue()
+
+
+def test_json_option_removed():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["nf", "--json", "E*c"])

@@ -215,3 +215,19 @@ def test_torus_quotient_map(mn_params):
         s.gen("cp"), s.gen("Ep")
     ).scale(qpow(2 * m * m)) - s.one()
     assert not f.apply(rel)
+
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, -3)])
+def test_certificate_replays_every_basis_element(mn):
+    """Certificates for a whole basis.  With a generator whose lead is not
+    a monomial of the catalog kind, rows are reduced against earlier rows
+    when they are inserted, so the replay of those reductions is used."""
+    s = make_S(params(*mn))
+    phi1, _ = phi_elements(s)
+    for gens in ([phi1 + s.gen("bp")], [s.multiply(s.gen("Ep"), s.gen("Fp")) + s.gen("cp")]):
+        span = ideal_span(s, gens, degree_bound=4)
+        for row in span.basis():
+            cert = span.certificate(row)
+            assert cert is not None
+            assert span.replay_certificate(cert) == row

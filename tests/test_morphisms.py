@@ -214,3 +214,13 @@ def test_families_seeded_parameter_draws(p11):
         assert check_morphism(zeta_Dq(p11, draws[0], draws[1])).ok
         assert check_morphism(xi_Dq(p11, draws[1], draws[2])).ok
         assert check_morphism(xi_Oq(p11, rng.randint(-6, 6))).ok
+
+
+def test_hopf_compatibility_negative_control(mn_params):
+    """Scaling a by 2 keeps every relation of Oq but not the coproduct
+    Delta(a) = a (x) a, so the check must report False."""
+    ho = hopf_Oq(mn_params)
+    assert check_hopf_compatibility(identity(make_Oq(mn_params)), ho, ho)
+    scaled = zeta_Oq(mn_params, QScalar(2), ONE, ONE)
+    assert check_morphism(scaled).ok
+    assert not check_hopf_compatibility(scaled, ho, ho)

@@ -1,0 +1,105 @@
+"""Output bytes pinned as sha256 digests.
+
+The digests were recorded from the code before the shared echelon,
+accumulate, inverse and substitution helpers replaced their separate
+copies; each was the same under PYTHONHASHSEED 0 and 1.  A refactor that
+changes any of these bytes (a coefficient, a term order, a verdict, the
+order of a certificate) fails here.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from qheis.cli import main
+from qheis.expr import context_for
+from qheis.ideals import ideal_span, phi_elements
+from qheis.presets import params
+
+CLI_DIGESTS = {
+    "verify --suite all --seed 7 --deg 6 --m 1 --n 1":
+        "b1404028e71e82468d4c65d1f8fb16d92e7e147bb7b42d64d00143c19aacfc34",
+    "verify --suite all --seed 7 --deg 6 --m 2 --n -3":
+        "e3cdfea278755ffc9133dc2c8aceda70055b377908a041661b48e401aa3dbebd",
+    "spec catalog --deg 6":
+        "75ce950adae0af3c0c3c7f4c2757652b014e078b668e30c5721d50711dd85e58",
+    "spec diagram --deg 6 --m 2 --n -3":
+        "fa8c45c70c3270a9311cc2d3e6ff4b2df2c4f6eddb32f2ff2369e613f9924ed1",
+    "ideal member --ideal I3 --deg 6 Fp*phi1*bp+cp*phi2":
+        "0c0d031521a34c652ffbf031adc0effaa2256c967002e63cb235a19a558010b2",
+    "ideal member --ideal I1 --deg 6 --q=3/2 bp*phi1*Fp":
+        "6300f79e5c8589b7effcf3ea9921a55834facb4a133d09370a28d26e536a1126",
+    "module probe --family J2 --deg 4 Fp":
+        "dbd15340b950f9480b07e306b215601a04aa3e6a60900eeadb38fdffd5fbfa9e",
+    "module probe --family J1 --m 2 --n 3 --deg 3 Ep*Fp+bp":
+        "90c8f155bc1b33d8a90cad6df90845630fcfa275c4815eb460643b89759dfdac",
+    "nf --q=3/2 E^3*c^2*F*b^2":
+        "243c297fb411a5559373a1d1bc1e6db24873a70b9eb431f9dd89d5a26c2ac1f7",
+    "nf --algebra S --order J3 --q=3/2 cp^2*bp*Fp*Ep^2":
+        "27a9f4965e1bbc17f3517243d86d8543247b77917116e4cc4097621ca5d2ab3e",
+}
+
+# (ideal, q0) -> digest of repr(certificate) at (m, n) = (1, 1); "EpFp+cp"
+# is generated by Ep*Fp + cp, whose rows are reduced against earlier rows
+# when they are inserted, so its certificates replay those reductions
+CERTIFICATE_DIGESTS = {
+    ("I1", None): "c85ecfa8b45f783509e9a206ebc435d496434f0104bd21defcf4cad4a7317513",
+    ("I1", "3/2"): "70f8fc560d96e6c73ea0dd3e80f0c0c7da14a33d2d46068c15d005169976c639",
+    ("I3", None): "2879c6c1705a92889eb31c11c96d8a5d1718e594df9ecb556c1ecf453d1a2e17",
+    ("I3", "3/2"): "05468877272d027e2040c764e12a52af14a88731c7bdd16f5d7ae18e8592db4c",
+    ("EpFp+cp", None): "6b0aca207e7266e395e1e7fa02a262e74c7e4f512b4b09a6cf8853304097595f",
+    ("EpFp+cp", "3/2"): "4f3224c2d2f839c1d4cc34cf98dc16a1cedfd3183ad4f90a4b54bffe145bcff6",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(CLI_DIGESTS))
+def test_cli_bytes(command):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(command.split())
+    assert code == 0
+    assert _sha(buf.getvalue()) == CLI_DIGESTS[command]
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_DIGESTS, key=str))
+def test_certificate_repr(case):
+    which, q0 = case
+    spres = context_for("S", params(1, 1), q0=None if q0 is None else Fraction(q0)).pres
+    phi1, phi2 = phi_elements(spres)
+
+    def m(*exps):
+        return spres.monomial(exps)
+
+    def sandwich(left, middle, right):
+        return spres.multiply(spres.multiply(left, middle), right)
+
+    unit = m(0, 0, 0, 0)
+    if which == "EpFp+cp":
+        g = spres.multiply(m(1, 0, 0, 0), m(0, 1, 0, 0)) + m(0, 0, 0, 1)
+        ideal = ideal_span(spres, [g], degree_bound=4)
+        x = (
+            sandwich(m(0, 0, 1, 0), g, m(0, 1, 0, 0))
+            + sandwich(m(1, 0, 0, 0), g, unit)
+            + sandwich(unit, g, m(0, 0, 0, 2))
+        )
+    else:
+        gens = [phi1] if which == "I1" else [phi1, phi2]
+        ideal = ideal_span(spres, gens, degree_bound=6)
+        x = (
+            sandwich(m(0, 0, 1, 0), phi1, m(0, 2, 0, 0))
+            + sandwich(m(0, 0, 0, 2), phi1, unit)
+            + sandwich(m(0, 1, 0, 0), phi1, m(0, 0, 1, 1))
+            + sandwich(m(1, 0, 0, 0), phi1, m(1, 0, 0, 0))
+        )
+        if which == "I3":
+            x = x + sandwich(m(0, 0, 1, 0), phi2, m(1, 0, 0, 0))
+    cert = ideal.certificate(x)
+    assert ideal.replay_certificate(cert) == x
+    assert _sha(repr(cert)) == CERTIFICATE_DIGESTS[case]
