@@ -25,7 +25,6 @@ from .ideals import (
 )
 from .morphisms import check_morphism, family
 from .presets import S_ORDERS, params
-from .qfield import scalar_text
 from .rewrite import Element
 from .smodules import QuotientModule, WeightModule, cyclicity_probe, growth_exponent
 from .suites import RunConfig, SUITE_NAMES, run_suites
@@ -36,7 +35,7 @@ def _element_json(el: Element):
     terms = []
     for mono in sorted(el.terms, key=pres.term_sort_key):
         entry = {
-            "coeff": scalar_text(el.terms[mono]),
+            "coeff": str(el.terms[mono]),
             "mono": {
                 pres.table.names[i]: e for i, e in enumerate(mono) if e
             },
@@ -53,7 +52,7 @@ def _tensor_json(tens):
     ):
         terms.append(
             {
-                "coeff": scalar_text(tens.terms[(ml, mr)]),
+                "coeff": str(tens.terms[(ml, mr)]),
                 "left": {pres.table.names[i]: e for i, e in enumerate(ml) if e},
                 "right": {pres.table.names[i]: e for i, e in enumerate(mr) if e},
             }
@@ -65,20 +64,22 @@ def _emit(out, record):
     out.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _add_common(sub, algebra_default=None):
+# options a command takes only when it reads them
+_OPTIONS = {
+    "seed": {"type": int, "default": None},
+    "deg": {"type": int, "default": None},
+    "window": {"type": int, "default": 4},
+    "q": {"default": None, "metavar": "P/R", "help": "evaluate at a rational q"},
+    "order": {"default": "J1", "choices": tuple(S_ORDERS)},
+}
+
+
+def _add_common(sub, *options):
+    """--m, --n and the named `options`."""
     sub.add_argument("--m", type=int, default=1)
     sub.add_argument("--n", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--deg", type=int, default=None)
-    sub.add_argument("--window", type=int, default=4)
-    sub.add_argument("--q", default=None, metavar="P/R", help="evaluate at a rational q")
-    if algebra_default is not None:
-        sub.add_argument(
-            "--algebra",
-            default=algebra_default,
-            choices=("Oq", "Uq", "Dq", "S", "torus"),
-        )
-        sub.add_argument("--order", default="J1", choices=tuple(S_ORDERS))
+    for name in options:
+        sub.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def _seed_of(args) -> int:
@@ -104,12 +105,15 @@ def build_parser():
     )
     subs = ap.add_subparsers(dest="command", required=True)
 
+    presets = ("Oq", "Uq", "Dq", "S", "torus")
     nf = subs.add_parser("nf", help="normal form of an expression")
-    _add_common(nf, algebra_default="Dq")
+    _add_common(nf, "q", "order")
+    nf.add_argument("--algebra", default="Dq", choices=presets)
     nf.add_argument("expr")
 
     comm = subs.add_parser("comm", help="commutator of two expressions")
-    _add_common(comm, algebra_default="Dq")
+    _add_common(comm, "q", "order")
+    comm.add_argument("--algebra", default="Dq", choices=presets)
     comm.add_argument("expr1")
     comm.add_argument("expr2")
 
@@ -119,7 +123,8 @@ def build_parser():
         ("antipode", "antipode"),
     ):
         sp = subs.add_parser(verb, help=help_text)
-        _add_common(sp, algebra_default="Oq")
+        _add_common(sp)
+        sp.add_argument("--algebra", default="Oq", choices=("Oq", "Uq"))
         sp.add_argument("expr")
 
     pair = subs.add_parser("pair", help="dual pairing <u, x>")
@@ -139,7 +144,7 @@ def build_parser():
     ideal_subs = ideal.add_subparsers(dest="action", required=True)
     for action, has_expr in (("span", False), ("member", True), ("contain", False)):
         sp = ideal_subs.add_parser(action)
-        _add_common(sp)
+        _add_common(sp, "q", "deg")
         sp.add_argument("--ideal", default=None, help="catalog name, e.g. I1 or J1")
         sp.add_argument("--other", default=None, help="second catalog name for contain")
         sp.add_argument("--gens", default=None, help="comma-separated generator exprs")
@@ -152,7 +157,7 @@ def build_parser():
     spec_subs = spec.add_subparsers(dest="action", required=True)
     for action in ("catalog", "diagram"):
         sp = spec_subs.add_parser(action)
-        _add_common(sp)
+        _add_common(sp, "deg")
 
     module = subs.add_parser("module", help="quotient/weight module operations")
     module_subs = module.add_subparsers(dest="action", required=True)
@@ -163,7 +168,7 @@ def build_parser():
         ("support", False),
     ):
         sp = module_subs.add_parser(action)
-        _add_common(sp)
+        _add_common(sp, "deg", "window")
         sp.add_argument("--family", default="J1", choices=("J1", "J2", "J3", "J4"))
         sp.add_argument("--sigma", default="0")
         sp.add_argument("--tau", default="0")
@@ -184,7 +189,7 @@ def build_parser():
     sp.add_argument("--i", type=int, default=None, help="index for xi")
 
     verify = subs.add_parser("verify", help="run verification suites")
-    _add_common(verify)
+    _add_common(verify, "seed", "deg", "window")
     verify.add_argument("--suite", default="all", help="suite name or 'all'")
     verify.add_argument("--samples", type=int, default=30)
     return ap
@@ -222,16 +227,13 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd in ("delta", "counit", "antipode"):
-        if args.algebra not in ("Oq", "Uq"):
-            print("error: Hopf operations need --algebra Oq or Uq", file=sys.stderr)
-            return 2
         ctx = context_for(args.algebra, p)
         h = hopf_Oq(p) if args.algebra == "Oq" else hopf_Uq(p)
         el = elaborate_element(parse(args.expr), ctx)
         if cmd == "delta":
             _emit(out, {"command": "delta", **_tensor_json(h.coproduct(el))})
         elif cmd == "counit":
-            _emit(out, {"command": "counit", "value": scalar_text(h.counit(el))})
+            _emit(out, {"command": "counit", "value": str(h.counit(el))})
         else:
             _emit(out, {"command": "antipode", **_element_json(h.antipode(el))})
         return 0
@@ -240,7 +242,7 @@ def _dispatch(args, out) -> int:
         dp = DualPairing(p)
         u = elaborate_element(parse(args.uexpr), context_for("Uq", p))
         x = elaborate_element(parse(args.xexpr), context_for("Oq", p))
-        _emit(out, {"command": "pair", "value": scalar_text(dp.pair(u, x))})
+        _emit(out, {"command": "pair", "value": str(dp.pair(u, x))})
         return 0
 
     if cmd == "act":
@@ -456,7 +458,7 @@ def _module_command(args, p, out) -> int:
         )
         return 0
     wm = WeightModule(args.kind, parse_scalar(args.eigenvalue), mod, args.window)
-    values = sorted(scalar_text(v) for v in wm.support())
+    values = sorted(str(v) for v in wm.support())
     _emit(
         out,
         {

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import ExprSyntaxError, UnknownGenerator
 from .presets import S_ORDERS, AlgebraParams, make_Dq, make_Oq, make_S, make_Uq
 from .presets import primed_in_D, torus_of_S_quotient
-from .qfield import QScalar, inverse, qpow
+from .qfield import QScalar, evaluate, inverse, qpow
 from .rewrite import Element
 
 
@@ -253,14 +253,7 @@ def context_for(algebra: str, p: AlgebraParams, order_key="J1", q0=None) -> Cont
         def conv(el: Element) -> Element:
             if q0 is None:
                 return el
-            point = Fraction(q0)
-            return Element(
-                pres,
-                {
-                    m: c.evaluate(point) if isinstance(c, QScalar) else Fraction(c)
-                    for m, c in el.terms.items()
-                },
-            )
+            return Element(pres, {m: evaluate(c, q0) for m, c in el.terms.items()})
 
         values = {
             "a": pres.gen("a"),
@@ -291,13 +284,6 @@ def context_for(algebra: str, p: AlgebraParams, order_key="J1", q0=None) -> Cont
     return Context(pres, values, q_value, one)
 
 
-def elaborate(node, ctx: Context):
-    """Evaluate an expression tree to an Element (or a bare scalar when the
-    expression mentions no generators)."""
-    value = _eval(node, ctx)
-    return value
-
-
 def elaborate_element(node, ctx: Context) -> Element:
     value = _eval(node, ctx)
     if not isinstance(value, Element):
@@ -305,17 +291,9 @@ def elaborate_element(node, ctx: Context) -> Element:
     return value
 
 
-def elaborate_scalar(node, ctx: Context):
-    value = _eval(node, ctx)
-    if isinstance(value, Element):
-        raise ExprSyntaxError("expected a scalar expression", 0)
-    return value
-
-
 def parse_scalar(text: str):
     """Exact scalar from text; only q and rationals may appear."""
-    ctx = Context(None, {})
-    return elaborate_scalar(parse(text), ctx)
+    return _eval(parse(text), Context(None, {}))
 
 
 def _eval(node, ctx: Context):
@@ -333,7 +311,7 @@ def _eval(node, ctx: Context):
     if isinstance(node, Pow):
         base = _eval(node.base, ctx)
         if isinstance(base, Element):
-            return _element_pow(base, node.exp, ctx)
+            return ctx.pres.power(base, node.exp)
         if node.exp < 0 and not base:
             raise ZeroDivisionError("zero raised to a negative power")
         return base**node.exp
@@ -350,12 +328,6 @@ def _eval(node, ctx: Context):
             inv = right.inverse_monomial() if isinstance(right, Element) else inverse(right)
             return _mul(left, inv, ctx)
     raise TypeError(type(node))
-
-
-def _element_pow(el: Element, k: int, ctx) -> Element:
-    if k >= 0:
-        return ctx.pres.power(el, k)
-    return ctx.pres.power(el.inverse_monomial(), -k)
 
 
 def _promote(v, ctx) -> Element:

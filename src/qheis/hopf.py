@@ -2,8 +2,9 @@
 
 The coproduct, counit and antipode are fixed on generators and extended
 multiplicatively (anti-multiplicatively for the antipode).  The pairing is
-evaluated by structural peeling from the four non-vanishing generator
-pairs; every unlisted generator pair is zero.  The action u.x = sum
+derived from the non-vanishing letter pairs <K, a>, <E, c> and <F, b>, the
+counits and the two coproducts through the laws of a Hopf pairing; every
+unlisted letter pair is zero.  The action u.x = sum
 x_(1) <u, x_(2)> makes Oq a module algebra, and reassembling
 sum (u_(1).x) u_(2) inside Dq must reproduce the smash-product relations.
 """
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MismatchedParams, NegativePowerOfNonInvertible, UnknownGenerator
+from .errors import MismatchedParams, NegativePowerOfNonInvertible
 from .presets import AlgebraParams, make_Dq, make_Oq, make_Uq
-from .qfield import ONE, ZERO, add_scaled, qpow, scalar_text
+from .qfield import ONE, ZERO, add_scaled, qpow
 from .rewrite import Element, Presentation
 
 
@@ -86,7 +87,7 @@ class TensorElement:
             c = self.terms[(ml, mr)]
             lt = pres.render_monomial(ml) or "1"
             rt = pres.render_monomial(mr) or "1"
-            coeff = "" if (hasattr(c, "is_one") and c.is_one()) or c == 1 else f"{scalar_text(c)} * "
+            coeff = "" if c == 1 else f"{c} * "
             bits.append(f"{coeff}({lt}) (*) ({rt})")
         return " + ".join(bits)
 
@@ -101,7 +102,6 @@ class HopfStructure:
     pres: Presentation
     group_like: frozenset            # indices of group-like generators (a or K)
     delta_gen: dict                  # index -> TensorElement
-    eps_gen: dict                    # index -> scalar
     s_gen: dict                      # index -> Element
     _delta_cache: dict = field(default_factory=dict)
     _delta_pow: dict = field(default_factory=dict)
@@ -113,10 +113,10 @@ class HopfStructure:
         return tuple(mono)
 
     def coproduct(self, x: Element) -> TensorElement:
-        out = TensorElement(self.pres, {})
+        out: dict = {}
         for mono, c in x.terms.items():
-            out = out + self._delta_mono(mono).scale(c)
-        return out
+            add_scaled(out, self._delta_mono(mono).terms, c)
+        return TensorElement(self.pres, out)
 
     def _delta_mono(self, mono) -> TensorElement:
         cached = self._delta_cache.get(mono)
@@ -163,15 +163,15 @@ class HopfStructure:
         )
 
     def antipode(self, x: Element) -> Element:
-        out = self.pres.zero()
+        out: dict = {}
         for mono, c in x.terms.items():
             acc = self.pres.one()
             for i, e in reversed(list(enumerate(mono))):
                 if not e:
                     continue
                 acc = self.pres.multiply(acc, self._s_pow_of(i, e))
-            out = out + acc.scale(c)
-        return out
+            add_scaled(out, acc.terms, c)
+        return Element(self.pres, out)
 
     def _s_pow_of(self, i, e) -> Element:
         key = (i, e)
@@ -190,49 +190,34 @@ def hopf_Oq(p: AlgebraParams) -> HopfStructure:
     oq = make_Oq(p)
     m, n = p.m, p.n
     ic, ia, ib = oq.index["c"], oq.index["a"], oq.index["b"]
-
-    def mono(i, e):
-        v = [0, 0, 0]
-        v[i] = e
-        return tuple(v)
-
+    b, c = oq.gen("b"), oq.gen("c")
+    outer = TensorElement.outer
     delta = {
-        ib: TensorElement(
-            oq, {(mono(ib, 1), mono(ia, -n)): 1, (mono(ia, n), mono(ib, 1)): 1}
-        ),
-        ic: TensorElement(
-            oq, {(mono(ic, 1), mono(ia, m)): 1, (mono(ia, -m), mono(ic, 1)): 1}
-        ),
+        ib: outer(b, oq.gen("a", -n)) + outer(oq.gen("a", n), b),
+        ic: outer(c, oq.gen("a", m)) + outer(oq.gen("a", -m), c),
     }
-    eps = {ib: ZERO, ic: ZERO}
     anti = {
-        ib: oq.gen("b").scale(-qpow(-n * n)),
-        ic: oq.gen("c").scale(-qpow(m * m)),
+        ib: b.scale(-qpow(-n * n)),
+        ic: c.scale(-qpow(m * m)),
     }
-    return HopfStructure(oq, frozenset({ia}), delta, eps, anti)
+    return HopfStructure(oq, frozenset({ia}), delta, anti)
 
 
 def hopf_Uq(p: AlgebraParams) -> HopfStructure:
     uq = make_Uq(p)
     m, n = p.m, p.n
     iF, iK, iE = uq.index["F"], uq.index["K"], uq.index["E"]
-
-    def mono(i, e):
-        v = [0, 0, 0]
-        v[i] = e
-        return tuple(v)
-
-    unit = (0, 0, 0)
+    E, F, one = uq.gen("E"), uq.gen("F"), uq.one()
+    outer = TensorElement.outer
     delta = {
-        iE: TensorElement(uq, {(mono(iE, 1), mono(iK, m)): 1, (unit, mono(iE, 1)): 1}),
-        iF: TensorElement(uq, {(mono(iF, 1), unit): 1, (mono(iK, -n), mono(iF, 1)): 1}),
+        iE: outer(E, uq.gen("K", m)) + outer(one, E),
+        iF: outer(F, one) + outer(uq.gen("K", -n), F),
     }
-    eps = {iE: ZERO, iF: ZERO}
     anti = {
         iE: uq.normal_form([("E", 1), ("K", -m)]).scale(-ONE),
         iF: uq.normal_form([("K", n), ("F", 1)]).scale(-ONE),
     }
-    return HopfStructure(uq, frozenset({iK}), delta, eps, anti)
+    return HopfStructure(uq, frozenset({iK}), delta, anti)
 
 
 @dataclass
@@ -282,20 +267,21 @@ def check_hopf_axioms(h: HopfStructure, degree_bound=3, samples=100, seed=0) -> 
         if left != right:
             sample_failures.append((k, "coassociativity"))
         # counit laws
-        eps_id = pres.zero()
-        id_eps = pres.zero()
+        eps_id: dict = {}
+        id_eps: dict = {}
         for (m1, m2), c in dx.terms.items():
-            eps_id = eps_id + pres.monomial(m2).scale(c * h.counit_mono(m1))
-            id_eps = id_eps + pres.monomial(m1).scale(c * h.counit_mono(m2))
-        if eps_id != x or id_eps != x:
+            add_scaled(eps_id, {m2: 1}, c * h.counit_mono(m1))
+            add_scaled(id_eps, {m1: 1}, c * h.counit_mono(m2))
+        if eps_id != x.terms or id_eps != x.terms:
             sample_failures.append((k, "counit"))
         # antipode law
-        s_id = pres.zero()
-        id_s = pres.zero()
+        s_id: dict = {}
+        id_s: dict = {}
         for (m1, m2), c in dx.terms.items():
-            s_id = s_id + pres.multiply(h.antipode(pres.monomial(m1)), pres.monomial(m2)).scale(c)
-            id_s = id_s + pres.multiply(pres.monomial(m1), h.antipode(pres.monomial(m2))).scale(c)
-        target = pres.one().scale(h.counit(x))
+            mono1, mono2 = pres.monomial(m1), pres.monomial(m2)
+            add_scaled(s_id, pres.multiply(h.antipode(mono1), mono2).terms, c)
+            add_scaled(id_s, pres.multiply(mono1, h.antipode(mono2)).terms, c)
+        target = pres.one().scale(h.counit(x)).terms
         if s_id != target or id_s != target:
             sample_failures.append((k, "antipode"))
     return HopfReport(
@@ -335,39 +321,6 @@ class DualPairing:
             return ONE
         return ZERO
 
-    def _pair_letter(self, gi, ge, mx):
-        """<single U letter, O monomial> by peeling the O side."""
-        if gi == self._iK:
-            # group-like: multiplicative across the O word
-            if all(e == 0 for i, e in enumerate(mx) if i != self._ia):
-                return qpow(-ge * mx[self._ia])
-            return ZERO
-        letters = [(i, 1 if e > 0 else -1) for i, e in enumerate(mx) for _ in range(abs(e))]
-        if not letters:
-            return ZERO
-        head, *rest = letters
-        rest_mono = self._mono_from_letters(rest, len(mx))
-        if gi == self._iE:
-            # Delta(E) = E (x) K^m + 1 (x) E
-            v = self._letter_table(gi, 1, head[0], head[1])
-            out = ZERO
-            if v:
-                out = out + v * self._pair_mono(self._gen_mono_u(self._iK, self.params.m), rest_mono)
-            if head[0] == self._ia:  # eps_O of the head letter
-                out = out + self._pair_letter(gi, 1, rest_mono)
-            return out
-        if gi == self._iF:
-            # Delta(F) = F (x) 1 + K^{-n} (x) F
-            v = self._letter_table(gi, 1, head[0], head[1])
-            out = ZERO
-            if v:
-                out = out + v * self.ho.counit_mono(rest_mono)
-            kv = self._letter_table(self._iK, -self.params.n, head[0], head[1])
-            if kv:
-                out = out + kv * self._pair_letter(gi, 1, rest_mono)
-            return out
-        raise UnknownGenerator(self.uq.table.names[gi])
-
     @staticmethod
     def _mono_from_letters(letters, width):
         mono = [0] * width
@@ -375,38 +328,49 @@ class DualPairing:
             mono[i] += e
         return tuple(mono)
 
-    def _gen_mono_u(self, i, e):
-        mono = [0] * len(self.uq.table.names)
-        mono[i] = e
-        return tuple(mono)
+    @staticmethod
+    def _split_first(mono):
+        """(first signed letter, rest) with letter * rest == mono: the
+        monomial is normal-ordered, so the product needs no rewriting."""
+        i = next(i for i, e in enumerate(mono) if e)
+        e = 1 if mono[i] > 0 else -1
+        letter = [0] * len(mono)
+        letter[i] = e
+        rest = list(mono)
+        rest[i] -= e
+        return tuple(letter), tuple(rest)
 
     def _pair_mono(self, mu, mx):
+        """<mu, mx> from the letter table, the counits and the laws
+        <uv, x> = sum <u, x_(1)> <v, x_(2)> and <u, xy> = sum <u_(1), x> <u_(2), y>."""
         key = (mu, mx)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        if all(e == 0 for i, e in enumerate(mu) if i != self._iK):
-            # group-like left side: multiplicative, so only a-powers survive
-            if all(e == 0 for i, e in enumerate(mx) if i != self._ia):
-                out = qpow(-mu[self._iK] * mx[self._ia])
-            else:
-                out = ZERO
-            self._memo[key] = out
-            return out
-        u_letters = [
-            (i, 1 if e > 0 else -1) for i, e in enumerate(mu) for _ in range(abs(e))
-        ]
-        if len(u_letters) == 1:
-            (gi, ge), = u_letters
-            out = self._pair_letter(gi, ge, mx)
-        else:
-            gi, ge = u_letters[0]
-            rest = self._mono_from_letters(u_letters[1:], len(mu))
+        nu = sum(abs(e) for e in mu)
+        nx = sum(abs(e) for e in mx)
+        if not nu:
+            out = self.ho.counit_mono(mx)
+        elif not nx:
+            out = self.hu.counit_mono(mu)
+        elif nu == 1 and nx == 1:
+            gi = next(i for i, e in enumerate(mu) if e)
+            xi = next(i for i, e in enumerate(mx) if e)
+            out = self._letter_table(gi, mu[gi], xi, mx[xi])
+        elif nu > 1:
+            u, v = self._split_first(mu)
             out = ZERO
             for (x1, x2), c in self.ho._delta_mono(mx).terms.items():
-                v = self._pair_letter(gi, ge, x1)
-                if v:
-                    out = out + c * v * self._pair_mono(rest, x2)
+                left = self._pair_mono(u, x1)
+                if left:
+                    out = out + c * left * self._pair_mono(v, x2)
+        else:
+            x, y = self._split_first(mx)
+            out = ZERO
+            for (u1, u2), c in self.hu._delta_mono(mu).terms.items():
+                left = self._pair_mono(u1, x)
+                if left:
+                    out = out + c * left * self._pair_mono(u2, y)
         self._memo[key] = out
         return out
 
@@ -434,14 +398,14 @@ class DualPairing:
     def act(self, u: Element, x: Element) -> Element:
         """u . x = sum x_(1) <u, x_(2)>, an element of Oq."""
         self._check_operands(u, x)
-        out = self.oq.zero()
+        out: dict = {}
         for mx, cx in x.terms.items():
             for (x1, x2), c in self.ho._delta_mono(mx).terms.items():
                 for mu, cu in u.terms.items():
                     v = self._pair_mono(mu, x2)
                     if v:
-                        out = out + self.oq.monomial(x1).scale(cx * c * cu * v)
-        return out
+                        add_scaled(out, {x1: cx * c * cu * v})
+        return Element(self.oq, out)
 
     # -- verification ----------------------------------------------------------
 
@@ -458,13 +422,14 @@ class DualPairing:
             x = random_element(self.oq, rng, max_degree=degree_bound, n_terms=2)
             y = random_element(self.oq, rng, max_degree=degree_bound, n_terms=2)
             lhs = self.act(u, self.oq.multiply(x, y))
-            rhs = self.oq.zero()
+            rhs: dict = {}
             for (u1, u2), c in self.hu.coproduct(u).terms.items():
-                rhs = rhs + self.oq.multiply(
+                acted = self.oq.multiply(
                     self.act(self.uq.monomial(u1), x),
                     self.act(self.uq.monomial(u2), y),
-                ).scale(c)
-            if lhs != rhs:
+                )
+                add_scaled(rhs, acted.terms, c)
+            if lhs.terms != rhs:
                 failures.append((k, "leibniz"))
             v = random_element(self.uq, rng, max_degree=degree_bound, n_terms=2)
             if self.act(self.uq.multiply(u, v), x) != self.act(u, self.act(v, x)):
@@ -480,7 +445,7 @@ class DualPairing:
         for uname, ue in u_gens:
             for xname, xe in o_gens:
                 direct = dq.normal_form([(uname, ue), (xname, xe)])
-                rebuilt = dq.zero()
+                terms: dict = {}
                 u_el = self.uq.gen(uname, ue)
                 x_el = self.oq.gen(xname, xe)
                 for (u1, u2), c in self.hu.coproduct(u_el).terms.items():
@@ -489,7 +454,8 @@ class DualPairing:
                         word = [
                             (self.oq.table.names[i], e) for i, e in enumerate(mo) if e
                         ] + [(self.uq.table.names[i], e) for i, e in enumerate(u2) if e]
-                        rebuilt = rebuilt + dq.normal_form(word).scale(c * co)
+                        add_scaled(terms, dq.normal_form(word).terms, c * co)
+                rebuilt = Element(dq, terms)
                 label_u = uname if ue == 1 else f"{uname}^{ue}"
                 label_x = xname if xe == 1 else f"{xname}^{xe}"
                 results.append(

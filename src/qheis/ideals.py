@@ -161,9 +161,7 @@ class TruncatedIdeal:
             else:
                 side, gi, parent = move
                 raw = {}
-                gmono = [0] * len(spres.table.names)
-                gmono[gi] = 1
-                g_el = spres.monomial(tuple(gmono))
+                g_el = spres.gen(spres.table.names[gi])
                 for (m1, idx, m2), c in combos[parent].items():
                     if side == "left":
                         expanded = spres.multiply(g_el, spres.monomial(m1))
@@ -189,14 +187,14 @@ class TruncatedIdeal:
 
     def _value_of_combo(self, combo):
         spres = self.spres
-        acc = spres.zero()
+        acc: dict = {}
         for (m1, idx, m2), c in combo.items():
             word = spres.multiply(
                 spres.multiply(spres.monomial(m1), self.generators[idx]),
                 spres.monomial(m2),
             )
-            acc = acc + word.scale(c)
-        return acc
+            add_scaled(acc, word.terms, c)
+        return Element(spres, acc)
 
     def certificate(self, x: Element):
         """Combination [(coeff, m1, gen_index, m2), ...] with

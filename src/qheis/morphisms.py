@@ -19,7 +19,7 @@ from .presets import (
     params,
     primed_in_D,
 )
-from .qfield import QScalar, inverse
+from .qfield import QScalar, add_scaled, inverse
 from .rewrite import Element, Presentation, substitute
 
 
@@ -111,12 +111,12 @@ def check_hopf_compatibility(f: Morphism, h_src, h_tgt) -> bool:
     """Delta_target(f(g)) == (f (x) f)(Delta_source(g)) on every generator."""
     for gname in f.source.table.names:
         lhs = h_tgt.coproduct(f.images[gname])
-        rhs = TensorElement(f.target, {})
+        rhs: dict = {}
         for (m1, m2), c in h_src.coproduct(f.source.gen(gname)).terms.items():
             left = f.apply(f.source.monomial(m1))
             right = f.apply(f.source.monomial(m2))
-            rhs = rhs + TensorElement.outer(left, right).scale(c)
-        if lhs != rhs:
+            add_scaled(rhs, TensorElement.outer(left, right).terms, c)
+        if lhs != TensorElement(f.target, rhs):
             return False
     return True
 
@@ -177,18 +177,13 @@ def _extend_torus_S_map(p: AlgebraParams, dq, K_img, a_img, s_images, name) -> M
     embed = {"Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
     embed.update(s_images)
     images = {"K": K_img, "a": a_img}
-    K_inv = K_img.inverse_monomial()
-    a_inv = a_img.inverse_monomial()
     cache: dict = {}
     for gname in ("b", "c", "E", "F"):
-        img = dq.zero()
+        img: dict = {}
         for (k, l), s_el in factorize_D(p, dq.gen(gname)):
-            torus = dq.multiply(
-                dq.power(K_img if k >= 0 else K_inv, abs(k)),
-                dq.power(a_img if l >= 0 else a_inv, abs(l)),
-            )
-            img = img + dq.multiply(torus, substitute(s_el, embed, dq, cache))
-        images[gname] = img
+            torus = dq.multiply(dq.power(K_img, k), dq.power(a_img, l))
+            add_scaled(img, dq.multiply(torus, substitute(s_el, embed, dq, cache)).terms)
+        images[gname] = Element(dq, img)
     return Morphism(dq, dq, images, name=name)
 
 
@@ -258,7 +253,7 @@ def _matmul(A, B):
 
 def _single_coeff(el: Element):
     (mono, coeff), = el.terms.items()
-    return coeff if isinstance(coeff, QScalar) else QScalar(coeff)
+    return QScalar(coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InadmissibleOrder, InvalidStructuralMatrix, ZeroParameter
-from .qfield import ONE, QScalar, qpow
+from .qfield import ONE, QScalar, add_scaled, qpow
 from .rewrite import Element, Presentation, substitute
 
 
@@ -215,16 +215,6 @@ class PrimedSet:
     phi1: Element
     phi2: Element
 
-    def as_dict(self):
-        return {
-            "bp": self.bP,
-            "cp": self.cP,
-            "Ep": self.eP,
-            "Fp": self.fP,
-            "phi1": self.phi1,
-            "phi2": self.phi2,
-        }
-
 
 @lru_cache(maxsize=None)
 def primed_in_D(p: AlgebraParams) -> PrimedSet:
@@ -288,11 +278,11 @@ def recombine_D(p: AlgebraParams, parts) -> Element:
     ps = primed_in_D(p)
     images = {"Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
     cache: dict = {}
-    acc = dq.zero()
+    acc: dict = {}
     for (k, l), s_el in parts:
         torus = dq.normal_form([("K", k), ("a", l)])
-        acc = acc + dq.multiply(torus, substitute(s_el, images, dq, cache))
-    return acc
+        add_scaled(acc, dq.multiply(torus, substitute(s_el, images, dq, cache)).terms)
+    return Element(dq, acc)
 
 
 def torus_of_S_quotient(p: AlgebraParams) -> Presentation:

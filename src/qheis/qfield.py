@@ -529,6 +529,12 @@ def add_scaled(out: dict, terms: dict, c=None) -> dict:
     return out
 
 
+def evaluate(c, q0) -> Fraction:
+    """Exact value of a coefficient at q = q0; an int or a Fraction is its
+    own value."""
+    return c.evaluate(q0) if isinstance(c, QScalar) else Fraction(c)
+
+
 def inverse(c):
     """Exact 1/c of a QScalar, Fraction or int; an int gives a Fraction."""
     if isinstance(c, QScalar):
@@ -540,10 +546,6 @@ def scalar_is_negative(c) -> bool:
     if isinstance(c, QScalar):
         return bool(c.num) and c.num[-1] < 0
     return c < 0
-
-
-def scalar_text(c) -> str:
-    return str(c)
 
 
 def scalar_is_simple(c) -> bool:

@@ -30,9 +30,7 @@ from .errors import (
     PresentationError,
     UnknownGenerator,
 )
-from .qfield import add_scaled, inverse, scalar_is_negative, scalar_is_simple, scalar_text
-
-Monomial = tuple  # integer exponent vector indexed by generator order
+from .qfield import add_scaled, evaluate, inverse, scalar_is_negative, scalar_is_simple
 
 
 @dataclass(frozen=True)
@@ -225,15 +223,6 @@ class Presentation:
 
     def monomial(self, mono, coeff=1):
         return Element(self, {tuple(mono): coeff}) if coeff else self.zero()
-
-    def element_from_words(self, terms):
-        """Sum of (coeff, word) items; words are [(name, exp), ...]."""
-        out = {}
-        for coeff, word in terms:
-            if not coeff:
-                continue
-            add_scaled(out, self._reduce(coeff, self._validate_word(word)))
-        return Element(self, out)
 
     def _validate_word(self, word):
         items = []
@@ -518,7 +507,7 @@ class Presentation:
 
     def specialize(self, q0) -> "Presentation":
         """Presentation over exact rationals with q evaluated at q0."""
-        return self.map_scalars(lambda s: s.evaluate(q0))
+        return self.map_scalars(lambda s: evaluate(s, q0))
 
     # -- rendering -------------------------------------------------------------------
 
@@ -548,15 +537,13 @@ class Presentation:
             body_coeff = -c if neg else c
             mtext = self.render_monomial(mono)
             if not mtext:
-                body = scalar_text(body_coeff)
+                body = str(body_coeff)
                 if not scalar_is_simple(body_coeff):
                     body = f"({body})"
-            elif body_coeff == 1 or (
-                hasattr(body_coeff, "is_one") and body_coeff.is_one()
-            ):
+            elif body_coeff == 1:
                 body = mtext
             else:
-                ctext = scalar_text(body_coeff)
+                ctext = str(body_coeff)
                 if not scalar_is_simple(body_coeff):
                     ctext = f"({ctext})"
                 body = f"{ctext}*{mtext}"
@@ -579,14 +566,14 @@ def substitute(x: Element, images: dict, target: Presentation, cache=None) -> El
     if cache is None:
         cache = {}
     names = x.pres.table.names
-    out = target.zero()
+    out: dict = {}
     for mono, coeff in x.terms.items():
         acc = target.one()
         for i, e in enumerate(mono):
             if e:
                 acc = target.multiply(acc, _image_power(images, target, cache, names[i], e))
-        out = out + acc.scale(coeff)
-    return out
+        add_scaled(out, acc.terms, coeff)
+    return Element(target, out)
 
 
 def _image_power(images, target, cache, name, e):

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DegreeTooSmall, TruncationOverflow, WrongOrder, ZeroVector
 from .presets import S_ORDERS, AlgebraParams, factorize_D, make_Dq, make_S
 from .ideals import Echelon
-from .qfield import ONE, ZERO, add_scaled, qpow, scalar_text
+from .qfield import ONE, add_scaled, qpow
 from .rewrite import Element
 
 # family -> (order, {generator acting by sigma, generator acting by tau})
@@ -27,16 +26,6 @@ FAMILY_SCALARS = {
     "J3": {"Fp": "sigma", "cp": "tau"},
     "J4": {"Fp": "sigma", "Ep": "tau"},
 }
-
-
-def _scal_pow(c, k):
-    if k == 0:
-        return ONE
-    if not c:
-        return ZERO
-    if hasattr(c, "__pow__"):
-        return c**k
-    raise TypeError(type(c))
 
 
 @dataclass
@@ -64,9 +53,6 @@ class QuotientModule:
 
     # -- vectors --------------------------------------------------------------
 
-    def vector(self, terms) -> dict:
-        return {k: c for k, c in terms.items() if c}
-
     def cyclic_vector(self) -> dict:
         return {(0, 0): ONE}
 
@@ -74,7 +60,9 @@ class QuotientModule:
         return {(int(i), int(j)): coeff}
 
     def dim_filtration(self, d: int) -> int:
-        return sum(1 for i in range(d + 1) for j in range(d + 1) if i + j <= d)
+        """Number of basis vectors of degree <= d: a lattice count, not the
+        rank of the action."""
+        return (d + 1) * (d + 2) // 2
 
     # -- action -----------------------------------------------------------------
 
@@ -87,7 +75,7 @@ class QuotientModule:
             for gi in (3, 2):
                 e = mono[gi]
                 if e:
-                    coeff = coeff * _scal_pow(self._scalars[gi], e)
+                    coeff = coeff * self._scalars[gi] ** e
                     if not coeff:
                         break
             if coeff:
@@ -137,8 +125,7 @@ class QuotientModule:
             mono = "*".join(
                 ([f"{g1}^{i}"] if i else []) + ([f"{g2}^{j}"] if j else [])
             )
-            coeff = scalar_text(c)
-            body = f"{coeff}*{mono}.v" if mono else f"{coeff}.v"
+            body = f"{c}*{mono}.v" if mono else f"{c}.v"
             bits.append(body)
         return " + ".join(bits)
 
@@ -164,9 +151,6 @@ class WeightModule:
         if self.truncation < 0:
             raise ValueError("truncation window must be >= 0")
         self.dq = make_Dq(self.base.params)
-
-    def vector(self, terms) -> dict:
-        return {k: c for k, c in terms.items() if c}
 
     def basis_vector(self, t, i, j, coeff=ONE) -> dict:
         if abs(t) > self.truncation:
@@ -204,13 +188,14 @@ class WeightModule:
                         f"shift to layer {t2} leaves window {self.truncation}"
                     )
                 diag_layer = t2 if self.kind == "K" else t
-                scal = _scal_pow(self.eigenvalue(diag_layer), diag_exp) if diag_exp else ONE
+                scal = self.eigenvalue(diag_layer) ** diag_exp if diag_exp else ONE
                 add_scaled(out, {(t2, i2, j2): c2 for (i2, j2), c2 in acted.items()}, scal)
         return out
 
     def dim_filtration(self, d: int) -> int:
-        layers = [t for t in range(-d, d + 1)]
-        return sum(self.base.dim_filtration(d) for _ in layers)
+        """2d+1 layers of the base count: a lattice count that ignores the
+        truncation window, not the rank of the action."""
+        return (2 * d + 1) * self.base.dim_filtration(d)
 
 
 def act_D(wm: WeightModule, x: Element, vec: dict) -> dict:
@@ -229,6 +214,17 @@ def _vec_key_order(key):
     return (key[0] + key[1], key)
 
 
+def _exponents_of_degree(total: int, width: int):
+    """Tuples of `width` exponents >= 0 summing to `total`, in
+    lexicographic order."""
+    if width == 1:
+        yield (total,)
+        return
+    for e in range(total + 1):
+        for rest in _exponents_of_degree(total - e, width - 1):
+            yield (e,) + rest
+
+
 def cyclicity_probe(mod: QuotientModule, w: dict, mult_degree: int) -> str:
     """Span {s.w : s a normal monomial of degree <= mult_degree} by exact
     elimination; Cyclic when the cyclic vector lies in the span, otherwise
@@ -238,9 +234,7 @@ def cyclicity_probe(mod: QuotientModule, w: dict, mult_degree: int) -> str:
     echelon = Echelon(_vec_key_order)
     target = mod.cyclic_vector()
     for total in range(mult_degree + 1):
-        for exps in product(range(total + 1), repeat=4):
-            if sum(exps) != total:
-                continue
+        for exps in _exponents_of_degree(total, 4):
             if echelon.insert(mod.act(mod.spres.monomial(exps), w)) is not None:
                 target = echelon.reduce(target)
                 if not target:

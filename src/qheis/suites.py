@@ -97,7 +97,6 @@ def suite_confluence(cfg: RunConfig):
         report = pres.check_confluence()
         records.append(
             {
-                "suite": "confluence",
                 "check": name,
                 "ok": report.ok,
                 "triples": report.triples_checked,
@@ -114,7 +113,6 @@ def suite_hopf(cfg: RunConfig):
         report = check_hopf_axioms(h, degree_bound=3, samples=cfg.samples, seed=cfg.seed)
         records.append(
             {
-                "suite": "hopf",
                 "check": f"{name} axioms",
                 "ok": report.ok,
                 "samples": report.samples,
@@ -147,13 +145,10 @@ def suite_pairing_action(cfg: RunConfig):
         ("F.b", dp.act(uq.gen("F"), oq.gen("b")) == oq.gen("a", n)),
         ("F.c", not dp.act(uq.gen("F"), oq.gen("c"))),
     ]
-    records = [
-        {"suite": "pairing-action", "check": name, "ok": bool(ok)} for name, ok in checks
-    ]
+    records = [{"check": name, "ok": bool(ok)} for name, ok in checks]
     failures = dp.check_module_algebra(samples=cfg.samples, seed=cfg.seed)
     records.append(
         {
-            "suite": "pairing-action",
             "check": "module-algebra law",
             "ok": not failures,
             "samples": cfg.samples,
@@ -168,7 +163,6 @@ def suite_smash(cfg: RunConfig):
     for r in dp.check_smash():
         records.append(
             {
-                "suite": "smash",
                 "check": f"{r['u']}*{r['x']}",
                 "ok": r["ok"],
                 "direct": r["direct"],
@@ -207,10 +201,7 @@ def _primed_relation_checks(p: AlgebraParams):
 
 def suite_primed(cfg: RunConfig):
     p = cfg.params
-    records = [
-        {"suite": "primed", "check": name, "ok": bool(ok)}
-        for name, ok in _primed_relation_checks(p)
-    ]
+    records = [{"check": name, "ok": bool(ok)} for name, ok in _primed_relation_checks(p)]
     # abstract S embeds through the primed elements
     from .morphisms import Morphism
 
@@ -224,7 +215,6 @@ def suite_primed(cfg: RunConfig):
     )
     records.append(
         {
-            "suite": "primed",
             "check": "S -> Dq embedding",
             "ok": check_morphism(embed).ok,
         }
@@ -238,7 +228,6 @@ def suite_primed(cfg: RunConfig):
             break
     records.append(
         {
-            "suite": "primed",
             "check": "factorization round-trip (degree <= 6)",
             "ok": ok,
             "samples": cfg.samples,
@@ -270,13 +259,13 @@ def suite_phi(cfg: RunConfig):
     for name, ok in _phi_identity_checks(
         dq.multiply, ps.phi1, ps.phi2, ps.eP, ps.fP, ps.bP, ps.cP, m, n
     ):
-        records.append({"suite": "phi", "check": f"embedded {name}", "ok": bool(ok)})
+        records.append({"check": f"embedded {name}", "ok": bool(ok)})
     s = make_S(p)
     phi1, phi2 = phi_elements(s)
     for name, ok in _phi_identity_checks(
         s.multiply, phi1, phi2, s.gen("Ep"), s.gen("Fp"), s.gen("bp"), s.gen("cp"), m, n
     ):
-        records.append({"suite": "phi", "check": f"abstract {name}", "ok": bool(ok)})
+        records.append({"check": f"abstract {name}", "ok": bool(ok)})
     return records
 
 
@@ -315,15 +304,9 @@ def suite_modules(cfg: RunConfig, probe_seeds=None, assoc_samples=None):
                     probe_ok = False
                     break
             label = f"{family}(s={sigma},t={tau})"
-            records.append(
-                {"suite": "modules", "check": f"{label} associativity", "ok": ok_assoc}
-            )
-            records.append(
-                {"suite": "modules", "check": f"{label} annihilators", "ok": ann_ok}
-            )
-            records.append(
-                {"suite": "modules", "check": f"{label} cyclicity", "ok": probe_ok}
-            )
+            records.append({"check": f"{label} associativity", "ok": ok_assoc})
+            records.append({"check": f"{label} annihilators", "ok": ann_ok})
+            records.append({"check": f"{label} cyclicity", "ok": probe_ok})
     return records
 
 
@@ -350,7 +333,6 @@ def suite_weights(cfg: RunConfig):
                     seen.add(got[(t, *key)])
         records.append(
             {
-                "suite": "weights",
                 "check": f"{kind}-weight support",
                 "ok": diag_ok and seen == expected and wm.support() == expected,
             }
@@ -366,15 +348,11 @@ def suite_weights(cfg: RunConfig):
                 }
                 if lhs != rhs:
                     rel_ok = False
-        records.append(
-            {"suite": "weights", "check": f"{kind}-weight Ka = q^-1 aK", "ok": rel_ok}
-        )
+        records.append({"check": f"{kind}-weight Ka = q^-1 aK", "ok": rel_ok})
         dims_ok = all(
             wm.dim_filtration(d) == (2 * d + 1) * mod.dim_filtration(d) for d in range(5)
         )
-        records.append(
-            {"suite": "weights", "check": f"{kind}-weight layer dims", "ok": dims_ok}
-        )
+        records.append({"check": f"{kind}-weight layer dims", "ok": dims_ok})
     return records
 
 
@@ -386,7 +364,6 @@ def suite_growth(cfg: RunConfig, d_max=24):
         slope = growth_exponent(mod, d_max)
         records.append(
             {
-                "suite": "growth",
                 "check": f"{family} quotient",
                 "ok": 1.7 <= slope <= 2.3,
                 "slope": round(slope, 4),
@@ -396,7 +373,6 @@ def suite_growth(cfg: RunConfig, d_max=24):
         wslope = growth_exponent(wm, d_max)
         records.append(
             {
-                "suite": "growth",
                 "check": f"{family} weight module",
                 "ok": 2.7 <= wslope <= 3.3,
                 "slope": round(wslope, 4),
@@ -415,14 +391,12 @@ def suite_ideals(cfg: RunConfig):
     rewritten = s.multiply(s.gen("cp"), s.gen("Ep")).scale(ONE - qpow(2 * m * m)) - s.one()
     records.append(
         {
-            "suite": "ideals",
             "check": "member(I1, -phi1 rewritten)",
             "ok": cat.ideals["I1"].member(rewritten) == "Verified",
         }
     )
     records.append(
         {
-            "suite": "ideals",
             "check": "member(I3, 1) not detected",
             "ok": cat.ideals["I3"].member(s.one()) == "NotDetected",
         }
@@ -430,7 +404,6 @@ def suite_ideals(cfg: RunConfig):
     for small, big in (("I1", "I3"), ("I2", "I3")):
         records.append(
             {
-                "suite": "ideals",
                 "check": f"{small} in {big}",
                 "ok": containment_probe(cat.ideals[small], cat.ideals[big]).status
                 == "Contained",
@@ -439,7 +412,6 @@ def suite_ideals(cfg: RunConfig):
     zname = str(cat.z_samples[0])
     records.append(
         {
-            "suite": "ideals",
             "check": f"I2 in J1({zname})",
             "ok": containment_probe(cat.ideals["I2"], cat.ideals[f"J1({zname})"]).status
             == "Contained",
@@ -448,7 +420,6 @@ def suite_ideals(cfg: RunConfig):
     probe = containment_probe(cat.ideals["I1"], cat.ideals[f"J1({zname})"])
     records.append(
         {
-            "suite": "ideals",
             "check": f"I1 vs J1({zname}) (recorded)",
             "ok": True,
             "status": probe.status,
@@ -458,7 +429,6 @@ def suite_ideals(cfg: RunConfig):
         report = monomial_avoidance_probe(cat.ideals[name], degree_bound=6)
         records.append(
             {
-                "suite": "ideals",
                 "check": f"monomial avoidance {name}",
                 "ok": report.clean,
                 "monomials": len(report.checked),
@@ -475,13 +445,12 @@ def suite_torusmap(cfg: RunConfig):
     phi1, phi2 = phi_elements(s)
     return [
         {
-            "suite": "torusmap",
             "check": "morphism",
             "ok": report.ok,
             "relations": report.relations_checked,
         },
-        {"suite": "torusmap", "check": "kills phi1", "ok": not f.apply(phi1)},
-        {"suite": "torusmap", "check": "kills phi2", "ok": not f.apply(phi2)},
+        {"check": "kills phi1", "ok": not f.apply(phi1)},
+        {"check": "kills phi2", "ok": not f.apply(phi2)},
     ]
 
 
@@ -491,7 +460,7 @@ def suite_aut(cfg: RunConfig, sl2_pairs=5):
     records = []
 
     def rec(check, ok, **extra):
-        records.append({"suite": "aut", "check": check, "ok": bool(ok), **extra})
+        records.append({"check": check, "ok": bool(ok), **extra})
 
     emb = embedding_Uq_into_Oq(p)
     rec("dual embedding", check_morphism(emb).ok)
@@ -567,5 +536,5 @@ def run_suites(names, cfg: RunConfig):
     for name in SUITE_NAMES:
         if name not in names:
             continue
-        records.extend(SUITES[name](cfg))
+        records.extend({"suite": name, **r} for r in SUITES[name](cfg))
     return records, all(r["ok"] for r in records)

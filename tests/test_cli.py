@@ -205,3 +205,22 @@ def test_cached_parser_matches_fresh_parser():
 def test_json_option_removed():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["nf", "--json", "E*c"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "--q=2", "K", "a"],
+        ["spec", "catalog", "--q=2"],
+        ["nf", "--seed", "3", "E"],
+        ["module", "act", "--q=2", "Fp"],
+        ["delta", "--algebra", "Dq", "b"],
+    ],
+    ids=" ".join,
+)
+def test_option_a_command_does_not_read_is_a_usage_error(argv):
+    """An option the command would ignore must not run it with a silent
+    default (symbolic q, seed 0, a Hopf structure that does not exist)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

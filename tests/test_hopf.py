@@ -273,3 +273,30 @@ def test_pairing_gram_rank_probe(p11):
                 rank += 1
                 break
     assert rank == len(u_monos) == len(o_monos)
+
+
+def test_pairing_laws_on_random_elements(mn_params):
+    """<uv, x> = <u (x) v, Delta x> and <u, xy> = <Delta u, x (x) y> for
+    products that need rewriting, so the pairing respects the relations
+    and not only the normal-ordered splits it is built from."""
+    dp = DualPairing(mn_params)
+    uq, oq = dp.uq, dp.oq
+    rng = random.Random(71)
+
+    def pair_tensor(left, right):
+        """sum c d <l1, r1> <l2, r2> over left = sum c l1 (x) l2 in Uq (x) Uq
+        and right = sum d r1 (x) r2 in Oq (x) Oq."""
+        total = ZERO
+        for (l1, l2), c in left.terms.items():
+            for (r1, r2), d in right.terms.items():
+                first = dp.pair(uq.monomial(l1), oq.monomial(r1))
+                total = total + c * d * first * dp.pair(uq.monomial(l2), oq.monomial(r2))
+        return total
+
+    for _ in range(15):
+        u, v = (random_element(uq, rng, max_degree=2, n_terms=2) for _ in range(2))
+        x, y = (random_element(oq, rng, max_degree=2, n_terms=2) for _ in range(2))
+        uv = TensorElement.outer(u, v)
+        assert dp.pair(uq.multiply(u, v), x) == pair_tensor(uv, dp.ho.coproduct(x))
+        xy = TensorElement.outer(x, y)
+        assert dp.pair(u, oq.multiply(x, y)) == pair_tensor(dp.hu.coproduct(u), xy)

@@ -40,6 +40,26 @@ CLI_DIGESTS = {
         "243c297fb411a5559373a1d1bc1e6db24873a70b9eb431f9dd89d5a26c2ac1f7",
     "nf --algebra S --order J3 --q=3/2 cp^2*bp*Fp*Ep^2":
         "27a9f4965e1bbc17f3517243d86d8543247b77917116e4cc4097621ca5d2ab3e",
+    # recorded from the code before the pairing was derived from the
+    # coproducts and before each command took only the options it reads
+    "pair --m 2 --n -3 K^2*E*F c*b*a^-1":
+        "a5d945ec482f0f95b2d7af1e144ae1b3530fe0c117d3bea2ba53717594c3431c",
+    "act --m 2 --n 3 E^2*F c^2*b*a":
+        "2f1b6f394e9c7de28315e977885addfaf57a55fe3afc5547ffb7bd775c25a9bb",
+    "delta --algebra Uq --m 2 --n -3 E^2*F*K":
+        "b48d56bc963df38007539662440f963e99326a070b0835da4a14c609c36e4039",
+    "antipode --algebra Oq --m 2 --n 3 b^2*c*a^-1":
+        "5f4ec739c3f98232eec5720f5acac2a9579fa60f4323cc6baa41f81cde76bcab",
+    "counit --algebra Uq K^3+E":
+        "16c3c8092bdde42d9e7cbe07a0120dfef7f3d279efe86032614cdf2c905a048d",
+    "smash --m 2 --n -3":
+        "52d5683f9071a72d06e9d575bcf067a8322a47db803cb4387e33f2a5efdb6cc3",
+    "module growth --family J3 --weight --deg 12":
+        "f48b3ddac70e7fb70e1b49c0b6cb8fdbcee6e9eb824008e1b1d37fe1d45a2ffd",
+    "module support --kind a --window 3 --eigenvalue 2":
+        "1fa372c1ee05df86e0e57d152762c51f8116539367112d785c2c212a1fe6e2c4",
+    "aut check --family rho --matrix 2,1,1,1 --m 2 --n -3":
+        "2545cef2158b39f5bace557e9540a2e7c60aa85f6a9fc7cfece68d90c1e10b92",
 }
 
 # (ideal, q0) -> digest of repr(certificate) at (m, n) = (1, 1); "EpFp+cp"

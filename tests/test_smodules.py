@@ -1,6 +1,7 @@
 """Quotient modules, weight modules, cyclicity probes, growth estimates."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from qheis.sampling import random_element
 from qheis.smodules import (
     QuotientModule,
     WeightModule,
+    _exponents_of_degree,
     cyclicity_probe,
     growth_exponent,
     support,
@@ -251,3 +253,20 @@ def test_weight_layer_dimension_profile(p11):
         )
         assert per_layer == mod.dim_filtration(d)
         assert wm.dim_filtration(d) == (2 * d + 1) * per_layer
+
+
+@pytest.mark.parametrize("t", range(9))
+def test_probe_monomials_are_listed_in_lexicographic_order(t):
+    """The probe inserts monomials in this order, so its echelon and
+    verdicts depend on it."""
+    expected = [e for e in product(range(t + 1), repeat=4) if sum(e) == t]
+    assert list(_exponents_of_degree(t, 4)) == expected
+
+
+def test_dim_filtration_counts_lattice_points(p11):
+    mod = QuotientModule("J2", ZERO, ONE, p11)
+    wm = WeightModule("a", QScalar(2), mod, truncation=1)
+    for d in range(40):
+        count = sum(1 for i in range(d + 1) for j in range(d + 1) if i + j <= d)
+        assert mod.dim_filtration(d) == count
+        assert wm.dim_filtration(d) == (2 * d + 1) * count
