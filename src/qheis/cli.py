@@ -71,6 +71,10 @@ _OPTIONS = {
     "window": {"type": int, "default": 4},
     "q": {"default": None, "metavar": "P/R", "help": "evaluate at a rational q"},
     "order": {"default": "J1", "choices": tuple(S_ORDERS)},
+    "vec": {"default": "0,0", "help": "basis vector i,j"},
+    "kind": {"default": "K", "choices": ("K", "a")},
+    "weight": {"action": "store_true", "help": "growth of the weight module"},
+    "eigenvalue": {"default": "1", "help": "base eigenvalue"},
 }
 
 
@@ -146,10 +150,11 @@ def build_parser():
         sp = ideal_subs.add_parser(action)
         _add_common(sp, "q", "deg")
         sp.add_argument("--ideal", default=None, help="catalog name, e.g. I1 or J1")
-        sp.add_argument("--other", default=None, help="second catalog name for contain")
         sp.add_argument("--gens", default=None, help="comma-separated generator exprs")
         sp.add_argument("--side", default="twoSided", choices=("left", "twoSided"))
         sp.add_argument("--z", default="1", help="z parameter for the J families")
+        if action == "contain":
+            sp.add_argument("--other", default=None, help="second catalog name")
         if has_expr:
             sp.add_argument("expr")
 
@@ -161,21 +166,17 @@ def build_parser():
 
     module = subs.add_parser("module", help="quotient/weight module operations")
     module_subs = module.add_subparsers(dest="action", required=True)
-    for action, has_expr in (
-        ("act", True),
-        ("probe", True),
-        ("growth", False),
-        ("support", False),
+    for action, has_expr, options in (
+        ("act", True, ("vec",)),
+        ("probe", True, ("deg",)),
+        ("growth", False, ("deg", "weight", "eigenvalue", "window")),
+        ("support", False, ("kind", "eigenvalue", "window")),
     ):
         sp = module_subs.add_parser(action)
-        _add_common(sp, "deg", "window")
+        _add_common(sp, *options)
         sp.add_argument("--family", default="J1", choices=("J1", "J2", "J3", "J4"))
         sp.add_argument("--sigma", default="0")
         sp.add_argument("--tau", default="0")
-        sp.add_argument("--vec", default="0,0", help="basis vector i,j")
-        sp.add_argument("--kind", default="K", choices=("K", "a"))
-        sp.add_argument("--weight", action="store_true", help="growth of the weight module")
-        sp.add_argument("--eigenvalue", default="1", help="base eigenvalue")
         if has_expr:
             sp.add_argument("expr", nargs="?")
 

@@ -103,18 +103,28 @@ class TruncatedIdeal:
             if lead is not None:
                 queue.append(lead)
         sides = ("left",) if self.side == "left" else ("left", "right")
-        gens = [self.spres.gen(name) for name in self.spres.table.names]
+        spres = self.spres
+        table = spres.table
+        gens = [spres.gen(name) for name in table.names]
+        # deg(g*x) = deg g + deg x, so a product past the bound need not be
+        # computed, when the associated graded ring is a q-skew polynomial
+        # ring (a domain): tails lower the degree, no swap is zero, and every
+        # invertible generator has degree 0 (in a torus, x*x^-1 = 1).
+        additive = all(rule.swap for rule in spres.rules.values()) and not any(
+            inv and d for inv, d in zip(table.invertible, table.degrees)
+        )
         pos = 0
         while pos < len(queue):
             lead = queue[pos]
             pos += 1
-            row = Element(self.spres, dict(self.echelon.rows[lead]))
+            row = Element(spres, dict(self.echelon.rows[lead]))
+            room = D - spres.degree_of(lead)
             for gi, g in enumerate(gens):
+                if additive and table.degrees[gi] > room:
+                    continue
                 for side in sides:
                     prod = (
-                        self.spres.multiply(g, row)
-                        if side == "left"
-                        else self.spres.multiply(row, g)
+                        spres.multiply(g, row) if side == "left" else spres.multiply(row, g)
                     )
                     if not prod or prod.degree() > D:
                         continue

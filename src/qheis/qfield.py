@@ -257,8 +257,13 @@ class QScalar:
         if not o.num:
             return self
         v = min(self.shift, o.shift)
-        a = _pmul(_qshift(self.num, self.shift - v), o.den)
-        b = _pmul(_qshift(o.num, o.shift - v), self.den)
+        a = _qshift(self.num, self.shift - v)
+        b = _qshift(o.num, o.shift - v)
+        if self.den == o.den:
+            # a shared denominator: add the numerators over it, not over den^2
+            return QScalar._raw(*_canon(v, _padd(a, b), self.den))
+        a = _pmul(a, o.den)
+        b = _pmul(b, self.den)
         return QScalar._raw(*_canon(v, _padd(a, b), _pmul(self.den, o.den)))
 
     __radd__ = __add__
@@ -286,11 +291,10 @@ class QScalar:
             return NotImplemented
         if not self.num or not o.num:
             return ZERO
-        if self.den == (1,) == o.den and len(self.num) == 1 == len(o.num):
-            # pure monomials: no reduction needed
-            return QScalar._raw(
-                self.shift + o.shift, (self.num[0] * o.num[0],), (1,)
-            )
+        if o.den == (1,) and len(o.num) == 1:
+            return self._scaled(o.shift, o.num[0])
+        if self.den == (1,) and len(self.num) == 1:
+            return o._scaled(self.shift, self.num[0])
         return QScalar._raw(
             *_canon(
                 self.shift + o.shift,
@@ -300,6 +304,19 @@ class QScalar:
         )
 
     __rmul__ = __mul__
+
+    def _scaled(self, k, c):
+        """self * c*q^k, canonical without a polynomial gcd: scaling by c
+        leaves gcd(num, den) alone, and after dividing by
+        g = gcd(c, content(den)) the contents stay coprime."""
+        num, den = self.num, self.den
+        if c != 1:
+            g = gcd(c, _content(den))
+            if g > 1:
+                c //= g
+                den = _pscale_exact(den, g)
+            num = tuple(x * c for x in num)
+        return QScalar._raw(self.shift + k, num, den)
 
     def inv(self) -> "QScalar":
         if not self.num:

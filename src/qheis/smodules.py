@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DegreeTooSmall, TruncationOverflow, WrongOrder, ZeroVector
 from .presets import S_ORDERS, AlgebraParams, factorize_D, make_Dq, make_S
 from .ideals import Echelon
-from .qfield import ONE, add_scaled, qpow
+from .qfield import ONE, add_scaled, qpow, scalar_is_simple
 from .rewrite import Element
 
 # family -> (order, {generator acting by sigma, generator acting by tau})
@@ -122,10 +122,11 @@ class QuotientModule:
         bits = []
         for (i, j) in sorted(vec, key=lambda k: (k[0] + k[1], k)):
             c = vec[(i, j)]
+            ctext = str(c) if scalar_is_simple(c) else f"({c})"
             mono = "*".join(
                 ([f"{g1}^{i}"] if i else []) + ([f"{g2}^{j}"] if j else [])
             )
-            body = f"{c}*{mono}.v" if mono else f"{c}.v"
+            body = f"{ctext}*{mono}.v" if mono else f"{ctext}.v"
             bits.append(body)
         return " + ".join(bits)
 

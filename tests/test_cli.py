@@ -224,3 +224,54 @@ def test_option_a_command_does_not_read_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module", "act", "--deg", "3", "--window", "9", "--weight", "--kind", "a",
+         "--eigenvalue", "5", "--vec", "0,1", "Fp"],
+        ["module", "act", "--deg", "3", "Fp"],
+        ["module", "probe", "--vec", "0,1", "Fp"],
+        ["module", "probe", "--window", "9", "Fp"],
+        ["module", "growth", "--kind", "a"],
+        ["module", "growth", "--vec", "0,1"],
+        ["module", "support", "--deg", "3"],
+        ["module", "support", "--weight"],
+        ["ideal", "span", "--gens", "phi1", "--deg", "3", "--other", "I2"],
+        ["ideal", "member", "--other", "I2", "phi1"],
+    ],
+    ids=" ".join,
+)
+def test_module_and_ideal_actions_take_only_the_options_they_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module", "act", "--family", "J2", "--sigma", "q", "--tau", "0", "--vec", "0,1", "Fp"],
+        ["module", "probe", "--deg", "3", "Fp"],
+        ["module", "growth", "--deg", "6", "--weight", "--eigenvalue", "2", "--window", "2"],
+        ["module", "support", "--kind", "a", "--eigenvalue", "2", "--window", "2"],
+        ["ideal", "contain", "--ideal", "I1", "--other", "I3", "--deg", "3"],
+    ],
+    ids=" ".join,
+)
+def test_module_and_ideal_actions_take_the_options_they_read(argv):
+    args = build_parser().parse_args(argv)
+    assert args.action == argv[1]
+
+
+def test_module_act_parenthesizes_multi_term_coefficients():
+    code, out = run_cli(
+        ["module", "act", "--family", "J4", "--sigma", "q", "--vec", "1,2",
+         "Ep*cp*bp^2 + Fp"]
+    )
+    assert code == 0
+    (rec,) = lines_of(out)
+    assert rec["vector"] == (
+        "1*cp^2.v + q^-5*bp^1*cp^2.v + (1 + q^2 + q^4)*bp^3*cp^2.v"
+    )

@@ -1,9 +1,14 @@
 """Truncated ideal spans, membership probes, spectrum catalog, torus quotient."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+import qheis.qfield
 from qheis.errors import BoundMismatch, DegreeTooSmall
 from qheis.ideals import (
+    TruncatedIdeal,
     build_spec_catalog,
     containment_probe,
     ideal_span,
@@ -14,8 +19,9 @@ from qheis.ideals import (
     torus_quotient_map,
 )
 from qheis.morphisms import check_morphism
-from qheis.presets import make_S, params
-from qheis.qfield import ONE, qpow
+from qheis.presets import make_quantum_torus, make_S, params
+from qheis.qfield import ONE, QScalar, qpow
+from qheis.rewrite import Element, Presentation
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +237,140 @@ def test_certificate_replays_every_basis_element(mn):
             cert = span.certificate(row)
             assert cert is not None
             assert span.replay_certificate(cert) == row
+
+
+# ---------------------------------------------------------------------------
+# the span without products past the degree bound, against the full closure
+
+
+class ReferenceIdeal(TruncatedIdeal):
+    """The span grown as it was before products past the degree bound were
+    skipped: every queued row times every generator on each side, and each
+    product above the bound thrown away after it was computed."""
+
+    def _build(self):
+        if not self.generators:
+            return
+        D = self.degree_bound
+        for g in self.generators:
+            if g and g.degree() > D:
+                raise DegreeTooSmall(
+                    f"degree bound {D} is below a generator of degree {g.degree()}"
+                )
+        queue = []
+        for idx, g in enumerate(self.generators):
+            if not g:
+                continue
+            lead = self._insert(g.terms, ("gen", idx))
+            if lead is not None:
+                queue.append(lead)
+        sides = ("left",) if self.side == "left" else ("left", "right")
+        gens = [self.spres.gen(name) for name in self.spres.table.names]
+        pos = 0
+        while pos < len(queue):
+            lead = queue[pos]
+            pos += 1
+            row = Element(self.spres, dict(self.echelon.rows[lead]))
+            for gi, g in enumerate(gens):
+                for side in sides:
+                    prod = (
+                        self.spres.multiply(g, row)
+                        if side == "left"
+                        else self.spres.multiply(row, g)
+                    )
+                    if not prod or prod.degree() > D:
+                        continue
+                    new_lead = self._insert(prod.terms, (side, gi, lead))
+                    if new_lead is not None:
+                        queue.append(new_lead)
+
+
+def _assert_same_span(ideal, ref):
+    """Same pivots in the same order, same rows term by term, same moves."""
+    assert ideal.echelon.order == ref.echelon.order
+    rows, ref_rows = ideal.echelon.rows, ref.echelon.rows
+    for lead in ref.echelon.order:
+        assert list(rows[lead].items()) == list(ref_rows[lead].items())
+    assert ideal._moves == ref._moves
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "q0"])
+@pytest.mark.parametrize("mn", [(1, 1), (2, -3)])
+def test_span_skip_matches_full_closure_on_catalog(mn, q0):
+    p = params(*mn)
+    spres = make_S(p) if q0 is None else make_S(p).specialize(q0)
+    z = QScalar(-2) if q0 is None else Fraction(-2)
+    cat = build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
+    for name, ideal in cat.ideals.items():
+        ref = ReferenceIdeal(spres, ideal.generators, ideal.side, 6)
+        assert ideal.dimension == ref.dimension, name
+        _assert_same_span(ideal, ref)
+
+
+def _random_element(rng, s, max_degree):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * len(s.table.names)
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(len(mono))] += 1
+        terms[tuple(mono)] = rng.choice([ONE, -ONE, QScalar(2), qpow(1), qpow(-2)])
+    return s.normal_form(Element(s, terms))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_span_skip_matches_full_closure_on_random_generators(seed):
+    rng = random.Random(seed)
+    s = make_S(params(*[(1, 1), (2, -3), (1, -1), (2, 3)][seed]))
+    gens = [_random_element(rng, s, 2) for _ in range(rng.randint(1, 2))]
+    for side in ("left", "twoSided"):
+        ideal = ideal_span(s, gens, side=side, degree_bound=4)
+        ref = ReferenceIdeal(s, ideal.generators, side, 4)
+        _assert_same_span(ideal, ref)
+
+
+def test_span_keeps_products_that_lower_the_degree():
+    """In a quantum torus x has degree 1 and x^-1 degree 0, so x * x^-1 = 1
+    lies inside bound 0 although the degrees of its factors add up to 1;
+    the span must compute that product."""
+    t = make_quantum_torus(("x", "y"), [[ONE, qpow(1)], [qpow(-1), ONE]])
+    ideal = ideal_span(t, [t.gen("x", -1)], degree_bound=0)
+    assert ideal.dimension == 2
+    assert ideal.member(t.one()) == "Verified"
+    _assert_same_span(ideal, ReferenceIdeal(t, ideal.generators, "twoSided", 0))
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("side", ["left", "twoSided"])
+def test_span_computes_no_product_it_throws_away(monkeypatch, side):
+    """Every product `_build` computes is inserted: none lies past the bound."""
+    s = make_S(params(1, 1))
+    phi1, phi2 = phi_elements(s)
+    counts = {}
+    _count_calls(monkeypatch, Presentation, "multiply", counts)
+    _count_calls(monkeypatch, TruncatedIdeal, "_insert", counts)
+    ideal = ideal_span(s, [phi1, phi2], side=side, degree_bound=6)
+    assert ideal.dimension > 2
+    assert counts["multiply"] == counts["_insert"] - 2
+
+
+def test_catalog_work_counts(monkeypatch):
+    """Products and scalar canonicalizations of one catalog, on a fresh
+    presentation so that every reduction misses the pair cache.  The full
+    closure took 4,128 products and 51,446 canonicalizations."""
+    p = params(1, 1)
+    spres = make_S.__wrapped__(p)
+    z = QScalar(7)
+    counts = {}
+    _count_calls(monkeypatch, Presentation, "multiply", counts)
+    _count_calls(monkeypatch, qheis.qfield, "_canon", counts)
+    build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
+    assert counts == {"multiply": 2128, "_canon": 17695}

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qheis.errors import EvaluationPole, InvalidParameter
 from qheis.qfield import ONE, ZERO, LaurentQ, QScalar, qpow
@@ -154,3 +156,80 @@ def test_fraction_and_int_interop():
     assert 1 - qpow(2) == QScalar.from_num_den((1, 0, -1), (1,))
     assert 1 / qpow(3) == qpow(-3)
     assert hash(QScalar(7)) == hash(Fraction(7))
+
+
+# ---------------------------------------------------------------------------
+# the fast paths of a product with a monomial c*q^k and of a sum over a
+# shared denominator, against the canonical form of the unreduced result
+
+
+def _times(a, b):
+    """Integer polynomial product, constant first."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _plus(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _triple(x):
+    return (x.shift, x.num, x.den)
+
+
+_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+_shifts = st.integers(-3, 3)
+_scalars = st.builds(
+    lambda num, den, k: QScalar.from_num_den(num, den, shift=k),
+    _polys,
+    _polys.filter(any),
+    _shifts,
+)
+_coeffs = st.builds(
+    lambda sign, mag: sign * mag,
+    st.sampled_from([1, -1]),
+    st.one_of(st.sampled_from([1, 2, 3, 4, 6, 9, 12, 36]), st.integers(1, 60)),
+)
+_fast = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+@_fast
+@given(a=_scalars, c=_coeffs, k=_shifts)
+def test_mul_by_monomial_matches_general_canon(a, c, k):
+    b = QScalar.from_num_den((c,), (1,), shift=k)
+    want = _triple(QScalar.from_num_den(_times(a.num, (c,)), a.den, shift=a.shift + k))
+    assert _triple(a * b) == want
+    assert _triple(b * a) == want
+    if k == 0:
+        assert _triple(a * c) == want
+        assert _triple(c * a) == want
+
+
+@_fast
+@given(a=_scalars, p=_polys, t=_shifts)
+def test_add_over_shared_denominator_matches_general_canon(a, p, t):
+    # q^t * (num + p*den) / den keeps a's denominator
+    a2 = QScalar.from_num_den(_plus(a.num, _times(p, a.den)), a.den, shift=t)
+    assert a2.den == a.den or not a2
+    v = min(a.shift, a2.shift)
+    num = _plus(
+        [0] * (a.shift - v) + _times(a.num, a2.den),
+        [0] * (a2.shift - v) + _times(a2.num, a.den),
+    )
+    want = _triple(QScalar.from_num_den(num, _times(a.den, a2.den), shift=v))
+    assert _triple(a + a2) == want
+    assert _triple(a2 + a) == want
+
+
+def test_mul_by_integer_divides_the_denominator_content():
+    """2 * 1/(2+2q) is 1/(1+q), not 2/(2+2q): the factor and the content of
+    the denominator share 2."""
+    half = QScalar.from_num_den((1,), (2, 2))
+    want = QScalar.from_num_den((1,), (1, 1))
+    assert _triple(half * 2) == _triple(want)
+    assert _triple(2 * half) == _triple(want)
+    assert str(half * 2) == "1/(1 + q)"
