@@ -4,7 +4,7 @@ over the field of rational functions in q.
 """
 
 from .errors import QheisError
-from .qfield import ONE, ZERO, LaurentQ, QScalar, qpow
+from .qfield import ONE, ZERO, QScalar, qpow
 from .rewrite import Element, GeneratorTable, Presentation, RewriteRule, substitute
 from .presets import (
     S_ORDERS,
@@ -61,7 +61,6 @@ __all__ = [
     "Element",
     "GeneratorTable",
     "HopfStructure",
-    "LaurentQ",
     "Morphism",
     "ONE",
     "Presentation",

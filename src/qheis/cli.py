@@ -25,6 +25,7 @@ from .ideals import (
 )
 from .morphisms import check_morphism, family
 from .presets import S_ORDERS, params
+from .qfield import evaluate
 from .rewrite import Element
 from .smodules import QuotientModule, WeightModule, cyclicity_probe, growth_exponent
 from .suites import RunConfig, SUITE_NAMES, run_suites
@@ -350,7 +351,9 @@ def _dispatch(args, out) -> int:
 def _catalog_ideal(args, p, ctx, name):
     deg = args.deg if args.deg is not None else 8
     q0 = _q0_of(args)
-    z = parse_scalar(args.z) if q0 is None else Fraction(args.z)
+    z = parse_scalar(args.z)
+    if q0 is not None:
+        z = evaluate(z, q0)
     cat = build_spec_catalog(p, degree_bound=deg, z_samples=(z,), spres=ctx.pres)
     if name in ("J1", "J2"):
         name = f"{name}({z})"

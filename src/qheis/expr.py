@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, UnknownGenerator
+from .ideals import phi_elements
 from .presets import S_ORDERS, AlgebraParams, make_Dq, make_Oq, make_S, make_Uq
 from .presets import primed_in_D, torus_of_S_quotient
 from .qfield import QScalar, evaluate, inverse, qpow
@@ -274,8 +275,7 @@ def context_for(algebra: str, p: AlgebraParams, order_key="J1", q0=None) -> Cont
     elif algebra == "S":
         pres = maybe_specialize(make_S(p, S_ORDERS[order_key]))
         values = {name: pres.gen(name) for name in pres.table.names}
-        values["phi1"] = pres.commutator(values["Ep"], values["cp"])
-        values["phi2"] = pres.commutator(values["Fp"], values["bp"])
+        values["phi1"], values["phi2"] = phi_elements(pres)
     elif algebra == "torus":
         pres = maybe_specialize(torus_of_S_quotient(p))
         values = {name: pres.gen(name) for name in pres.table.names}
@@ -285,10 +285,7 @@ def context_for(algebra: str, p: AlgebraParams, order_key="J1", q0=None) -> Cont
 
 
 def elaborate_element(node, ctx: Context) -> Element:
-    value = _eval(node, ctx)
-    if not isinstance(value, Element):
-        return ctx.pres.one().scale(value) if value else ctx.pres.zero()
-    return value
+    return _promote(_eval(node, ctx), ctx)
 
 
 def parse_scalar(text: str):

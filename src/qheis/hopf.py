@@ -52,17 +52,6 @@ class TensorElement:
     def __add__(self, other):
         return TensorElement(self.pres, add_scaled(dict(self.terms), other.terms))
 
-    def __neg__(self):
-        return TensorElement(self.pres, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return TensorElement(self.pres, {})
-        return TensorElement(self.pres, {k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         """Componentwise product, each factor normal-formed independently."""
         if not isinstance(other, TensorElement):
@@ -149,11 +138,7 @@ class HopfStructure:
         return out
 
     def counit(self, x: Element):
-        total = ZERO
-        for mono, c in x.terms.items():
-            if all(e == 0 or i in self.group_like for i, e in enumerate(mono)):
-                total = total + c
-        return total
+        return sum((c * self.counit_mono(mono) for mono, c in x.terms.items()), ZERO)
 
     def counit_mono(self, mono):
         return (

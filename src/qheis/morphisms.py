@@ -12,7 +12,8 @@ from .errors import ConstraintViolation, TypeMismatch, UnknownGenerator
 from .hopf import TensorElement
 from .presets import (
     AlgebraParams,
-    factorize_D,
+    _unprimed_images,
+    make_D_split,
     make_Dq,
     make_Oq,
     make_Uq,
@@ -173,18 +174,18 @@ def zeta_Oq(p: AlgebraParams, z, z1, z2) -> Morphism:
 
 
 def _extend_torus_S_map(p: AlgebraParams, dq, K_img, a_img, s_images, name) -> Morphism:
+    """Dq -> D_split -> Dq: write each generator in the torus (x) S model, then
+    send K, a to K_img, a_img and the primed generators to s_images (the
+    primed elements of Dq by default)."""
     ps = primed_in_D(p)
-    embed = {"Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
-    embed.update(s_images)
-    images = {"K": K_img, "a": a_img}
-    cache: dict = {}
-    for gname in ("b", "c", "E", "F"):
-        img: dict = {}
-        for (k, l), s_el in factorize_D(p, dq.gen(gname)):
-            torus = dq.multiply(dq.power(K_img, k), dq.power(a_img, l))
-            add_scaled(img, dq.multiply(torus, substitute(s_el, embed, dq, cache)).terms)
-        images[gname] = Element(dq, img)
-    return Morphism(dq, dq, images, name=name)
+    images = {"K": K_img, "a": a_img, "Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
+    images.update(s_images)
+    from_split = Morphism(make_D_split(p), dq, images)
+    # Morphism writes normal forms into its images, so copy the cached dict
+    to_split = Morphism(dq, make_D_split(p), dict(_unprimed_images(p)))
+    out = compose(from_split, to_split)
+    out.name = name
+    return out
 
 
 def zeta_Dq(p: AlgebraParams, z1, z2) -> Morphism:

@@ -31,15 +31,9 @@ class AlgebraParams:
         if self.d != gcd(abs(self.m), abs(self.n)):
             raise ZeroParameter("d must equal gcd(|m|, |n|)")
 
-    @classmethod
-    def of(cls, m: int, n: int) -> "AlgebraParams":
-        if m == 0 or n == 0:
-            raise ZeroParameter("m and n must be nonzero")
-        return cls(m, n, gcd(abs(m), abs(n)))
-
 
 def params(m: int, n: int) -> AlgebraParams:
-    return AlgebraParams.of(m, n)
+    return AlgebraParams(m, n, gcd(abs(m), abs(n)))
 
 
 # Admissible S orders; in each, the last two generators act by scalars on
@@ -57,20 +51,33 @@ def _stamp(pres: Presentation, p: AlgebraParams) -> Presentation:
     return pres
 
 
+def _oq_relations(p: AlgebraParams):
+    m, n = p.m, p.n
+    return [
+        ("a", "b", qpow(n), []),      # a*b = q^n * b*a
+        ("a", "c", qpow(m), []),      # a*c = q^m * c*a
+        ("b", "c", ONE, []),          # b*c = c*b
+    ]
+
+
+def _uq_relations(p: AlgebraParams):
+    m, n = p.m, p.n
+    return [
+        ("K", "E", qpow(2 * m), []),   # K*E = q^{2m} * E*K
+        ("K", "F", qpow(-2 * n), []),  # K*F = q^{-2n} * F*K
+        ("E", "F", ONE, []),           # E*F = F*E
+    ]
+
+
 @lru_cache(maxsize=None)
 def make_Oq(p: AlgebraParams) -> Presentation:
     """Coordinate algebra on a^{+-1}, b, c with order (c, a, b)."""
-    m, n = p.m, p.n
     return _stamp(
         Presentation.from_relations(
             names=("c", "a", "b"),
             invertible=(False, True, False),
             degrees=(1, 0, 1),
-            relations=[
-                ("a", "b", qpow(n), []),      # a*b = q^n * b*a
-                ("a", "c", qpow(m), []),      # a*c = q^m * c*a
-                ("b", "c", ONE, []),          # b*c = c*b
-            ],
+            relations=_oq_relations(p),
         ),
         p,
     )
@@ -79,17 +86,12 @@ def make_Oq(p: AlgebraParams) -> Presentation:
 @lru_cache(maxsize=None)
 def make_Uq(p: AlgebraParams) -> Presentation:
     """Dual algebra on K^{+-1}, E, F with order (F, K, E)."""
-    m, n = p.m, p.n
     return _stamp(
         Presentation.from_relations(
             names=("F", "K", "E"),
             invertible=(False, True, False),
             degrees=(1, 0, 1),
-            relations=[
-                ("K", "E", qpow(2 * m), []),   # K*E = q^{2m} * E*K
-                ("K", "F", qpow(-2 * n), []),  # K*F = q^{-2n} * F*K
-                ("E", "F", ONE, []),           # E*F = F*E
-            ],
+            relations=_uq_relations(p),
         ),
         p,
     )
@@ -103,13 +105,7 @@ def make_Dq(p: AlgebraParams) -> Presentation:
         names=("F", "c", "K", "a", "E", "b"),
         invertible=(False, False, True, True, False, False),
         degrees=(1, 1, 0, 0, 1, 1),
-        relations=[
-            ("a", "b", qpow(n), []),
-            ("a", "c", qpow(m), []),
-            ("b", "c", ONE, []),
-            ("K", "E", qpow(2 * m), []),
-            ("K", "F", qpow(-2 * n), []),
-            ("E", "F", ONE, []),
+        relations=_oq_relations(p) + _uq_relations(p) + [
             ("K", "a", qpow(-1), []),
             ("K", "b", qpow(n), []),
             ("K", "c", qpow(-m), []),

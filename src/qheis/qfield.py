@@ -200,24 +200,6 @@ class QScalar:
         """Build from raw integer coefficient sequences (constant first)."""
         return cls._raw(*_canon(shift, _trim(num), _trim(den)))
 
-    @classmethod
-    def from_laurent(cls, terms) -> "QScalar":
-        """Build from {exponent: rational coefficient}."""
-        if isinstance(terms, LaurentQ):
-            terms = terms.terms
-        items = {k: Fraction(v) for k, v in terms.items() if v}
-        if not items:
-            return ZERO
-        lo = min(items)
-        hi = max(items)
-        lcm = 1
-        for v in items.values():
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        num = [0] * (hi - lo + 1)
-        for k, v in items.items():
-            num[k - lo] = int(v * lcm)
-        return cls._raw(*_canon(lo, _trim(num), (lcm,)))
-
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):
@@ -225,15 +207,6 @@ class QScalar:
 
     def is_one(self):
         return self.shift == 0 and self.num == (1,) and self.den == (1,)
-
-    def as_laurent(self):
-        """LaurentQ view, or None when the denominator is not constant."""
-        if len(self.den) != 1:
-            return None
-        d = self.den[0]
-        return LaurentQ(
-            {self.shift + i: Fraction(c, d) for i, c in enumerate(self.num) if c}
-        )
 
     def is_q_power(self):
         """True when the value is exactly q^k for some integer k."""
@@ -459,71 +432,6 @@ def qpow(k: int) -> QScalar:
 Q = qpow(1)
 
 
-class LaurentQ:
-    """Laurent polynomial in q with exact rational coefficients.
-
-    Thin canonical map {exponent: Fraction}; embeds exactly into QScalar
-    (denominator a power of q).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, v in terms.items():
-                v = Fraction(v)
-                if v:
-                    clean[int(k)] = v
-        self.terms = clean
-
-    @classmethod
-    def from_qscalar(cls, s: QScalar) -> "LaurentQ":
-        lau = s.as_laurent()
-        if lau is None:
-            raise ValueError(f"{s} is not a Laurent polynomial in q")
-        return lau
-
-    def to_qscalar(self) -> QScalar:
-        return QScalar.from_laurent(self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other):
-        return LaurentQ(add_scaled(dict(self.terms), other.terms))
-
-    def __neg__(self):
-        return LaurentQ({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict[int, Fraction] = {}
-        for k1, v1 in self.terms.items():
-            add_scaled(out, {k1 + k2: v2 for k2, v2 in other.terms.items()}, v1)
-        return LaurentQ(out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        lo = min(self.terms)
-        dense = [self.terms.get(k, 0) for k in range(lo, max(self.terms) + 1)]
-        return _poly_text(dense, lo)
-
-    def __repr__(self):
-        return f"LaurentQ({self})"
-
-
 # ---------------------------------------------------------------------------
 # coefficient helpers (duck-typed over QScalar / Fraction / int)
 
@@ -568,6 +476,6 @@ def scalar_is_negative(c) -> bool:
 def scalar_is_simple(c) -> bool:
     """True when the coefficient renders as a single product-safe factor."""
     if isinstance(c, QScalar):
-        lau = c.as_laurent()
-        return lau is not None and len(lau.terms) <= 1
+        # canonical num has nonzero end coefficients: one term means length 1
+        return len(c.den) == 1 and len(c.num) <= 1
     return True

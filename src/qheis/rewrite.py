@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .errors import (
@@ -463,30 +463,26 @@ class Presentation:
         letters += [(i, -1) for i, inv in enumerate(self.table.invertible) if inv]
         return letters
 
-    def check_confluence(self, max_failures=5) -> ConfluenceReport:
-        """Reduce every three-letter word along two strategies and compare."""
+    def check_confluence(self) -> ConfluenceReport:
+        """Reduce every three-letter word along two strategies and compare;
+        stop at the fifth failure."""
         letters = self.signed_letters()
         failures = []
         words = 0
-        for l1 in letters:
-            for l2 in letters:
-                for l3 in letters:
-                    word = [l1, l2, l3]
-                    words += 1
-                    left = self._reduce(1, list(word), "left")
-                    right = self._reduce(1, list(word), "right")
-                    if left != right:
-                        failures.append(
-                            (
-                                [(self.table.names[g], e) for g, e in word],
-                                Element(self, left),
-                                Element(self, right),
-                            )
-                        )
-                        if len(failures) >= max_failures:
-                            return ConfluenceReport(
-                                False, comb(len(self.table.names), 3), words, failures
-                            )
+        for word in product(letters, repeat=3):
+            words += 1
+            left = self._reduce(1, list(word), "left")
+            right = self._reduce(1, list(word), "right")
+            if left != right:
+                failures.append(
+                    (
+                        [(self.table.names[g], e) for g, e in word],
+                        Element(self, left),
+                        Element(self, right),
+                    )
+                )
+                if len(failures) >= 5:
+                    break
         return ConfluenceReport(
             not failures, comb(len(self.table.names), 3), words, failures
         )

@@ -42,8 +42,8 @@ def random_element(
     return Element(pres, terms)
 
 
-def random_sl2(rng, max_entry=5):
-    """Random SL2(Z) matrix with entries in [-max_entry, max_entry]."""
+def random_sl2(rng):
+    """Random SL2(Z) matrix with entries in [-5, 5]."""
     while True:
         a, b, c, d = 1, 0, 0, 1
         for _ in range(rng.randint(1, 4)):
@@ -53,7 +53,7 @@ def random_sl2(rng, max_entry=5):
                 a, b, c, d = a, b + r * a, c, d + r * c
             else:
                 a, b, c, d = a + r * b, b, c + r * d, d
-        if max(abs(a), abs(b), abs(c), abs(d)) <= max_entry and a * d - b * c == 1:
+        if max(abs(a), abs(b), abs(c), abs(d)) <= 5 and a * d - b * c == 1:
             if rng.randrange(2):
                 a, b, c, d = -a, -b, -c, -d  # -I is also in SL2
             return ((a, b), (c, d))

@@ -120,7 +120,7 @@ class QuotientModule:
             return "0"
         g1, g2 = self.order[0], self.order[1]
         bits = []
-        for (i, j) in sorted(vec, key=lambda k: (k[0] + k[1], k)):
+        for (i, j) in sorted(vec, key=_vec_key_order):
             c = vec[(i, j)]
             ctext = str(c) if scalar_is_simple(c) else f"({c})"
             mono = "*".join(

@@ -68,22 +68,6 @@ class RunConfig:
         return params(self.m, self.n)
 
 
-SUITE_NAMES = (
-    "confluence",
-    "hopf",
-    "pairing-action",
-    "smash",
-    "primed",
-    "phi",
-    "modules",
-    "weights",
-    "growth",
-    "ideals",
-    "torusmap",
-    "aut",
-)
-
-
 def suite_confluence(cfg: RunConfig):
     p = cfg.params
     records = []
@@ -270,19 +254,18 @@ def suite_phi(cfg: RunConfig):
 
 
 SIGMA_TAU_GRID = ((ZERO, ZERO), (ZERO, ONE), (ONE, ZERO))
+PROBE_SEEDS = 5
 
 
-def suite_modules(cfg: RunConfig, probe_seeds=None, assoc_samples=None):
+def suite_modules(cfg: RunConfig):
     p = cfg.params
     records = []
     rng = random.Random(cfg.seed)
-    assoc_samples = assoc_samples if assoc_samples is not None else cfg.samples
-    probe_seeds = probe_seeds if probe_seeds is not None else 5
     for family in ("J1", "J2", "J3", "J4"):
         for sigma, tau in SIGMA_TAU_GRID:
             mod = QuotientModule(family, sigma, tau, p)
             ok_assoc = True
-            for _ in range(assoc_samples):
+            for _ in range(cfg.samples):
                 s1 = random_element(mod.spres, rng, max_degree=2, n_terms=2)
                 s2 = random_element(mod.spres, rng, max_degree=2, n_terms=2)
                 vec = {(rng.randint(0, 2), rng.randint(0, 2)): QScalar(rng.choice((1, -1, 2)))}
@@ -295,7 +278,7 @@ def suite_modules(cfg: RunConfig, probe_seeds=None, assoc_samples=None):
                 if mod.act(mod.spres.gen(gname) - mod.spres.one(scal), mod.cyclic_vector()):
                     ann_ok = False
             probe_ok = True
-            for _ in range(probe_seeds):
+            for _ in range(PROBE_SEEDS):
                 s = random_element(mod.spres, rng, max_degree=3, n_terms=2)
                 w = mod.act(s, mod.cyclic_vector())
                 if not w:
@@ -356,12 +339,15 @@ def suite_weights(cfg: RunConfig):
     return records
 
 
-def suite_growth(cfg: RunConfig, d_max=24):
+GROWTH_D_MAX = 24
+
+
+def suite_growth(cfg: RunConfig):
     p = cfg.params
     records = []
     for family in ("J1", "J2", "J3", "J4"):
         mod = QuotientModule(family, ZERO, ZERO, p)
-        slope = growth_exponent(mod, d_max)
+        slope = growth_exponent(mod, GROWTH_D_MAX)
         records.append(
             {
                 "check": f"{family} quotient",
@@ -370,7 +356,7 @@ def suite_growth(cfg: RunConfig, d_max=24):
             }
         )
         wm = WeightModule("K", ONE, mod, truncation=cfg.window)
-        wslope = growth_exponent(wm, d_max)
+        wslope = growth_exponent(wm, GROWTH_D_MAX)
         records.append(
             {
                 "check": f"{family} weight module",
@@ -454,7 +440,10 @@ def suite_torusmap(cfg: RunConfig):
     ]
 
 
-def suite_aut(cfg: RunConfig, sl2_pairs=5):
+SL2_PAIRS = 5
+
+
+def suite_aut(cfg: RunConfig):
     p = cfg.params
     rng = random.Random(cfg.seed)
     records = []
@@ -491,7 +480,7 @@ def suite_aut(cfg: RunConfig, sl2_pairs=5):
     )
     twist_ok = True
     rho_ok = True
-    for _ in range(sl2_pairs):
+    for _ in range(SL2_PAIRS):
         A, B = random_sl2(rng), random_sl2(rng)
         if not check_morphism(rho_Dq(p, A)).ok:
             rho_ok = False
@@ -500,8 +489,8 @@ def suite_aut(cfg: RunConfig, sl2_pairs=5):
         rhs = compose(rho_Dq(p, _matmul(A, B)), zeta_Dq(p, z1, z2v))
         if lhs != rhs:
             twist_ok = False
-    rec("rho morphisms", rho_ok, pairs=sl2_pairs)
-    rec("rho composition twist", twist_ok, pairs=sl2_pairs)
+    rec("rho morphisms", rho_ok, pairs=SL2_PAIRS)
+    rec("rho composition twist", twist_ok, pairs=SL2_PAIRS)
     ps = primed_in_D(p)
     A = random_sl2(rng)
     rho = rho_Dq(p, A)
@@ -526,6 +515,7 @@ SUITES = {
     "torusmap": suite_torusmap,
     "aut": suite_aut,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names, cfg: RunConfig):

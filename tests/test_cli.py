@@ -156,6 +156,19 @@ def test_rational_q_mode_ideal():
     assert rec["status"] == "Verified"
 
 
+@pytest.mark.parametrize(
+    "expr, status", [("phi1 - q*bp", "Verified"), ("phi1 - 2*bp", "NotDetected")]
+)
+def test_rational_q_mode_symbolic_z(expr, status):
+    """--z q with --q=3/2 is z = 3/2, so J1(z) holds phi1 - q*bp there."""
+    code, out = run_cli(
+        ["ideal", "member", "--ideal", "J1", "--deg", "4", "--q=3/2", "--z", "q", expr]
+    )
+    assert code == 0
+    (rec,) = lines_of(out)
+    assert rec["status"] == status
+
+
 def test_verify_deterministic_and_exit_zero():
     args = ["verify", "--suite", "confluence,smash", "--m", "1", "--n", "1", "--seed", "3"]
     code1, out1 = run_cli(args)

@@ -25,8 +25,9 @@ from qheis.morphisms import (
     zeta_Dq,
     zeta_Oq,
 )
-from qheis.presets import make_Oq, params, primed_in_D
-from qheis.qfield import ONE, QScalar, qpow
+from qheis.presets import factorize_D, make_Dq, make_Oq, params, primed_in_D
+from qheis.qfield import ONE, QScalar, add_scaled, inverse, qpow
+from qheis.rewrite import Element, substitute
 from qheis.sampling import random_sl2
 
 
@@ -224,3 +225,58 @@ def test_hopf_compatibility_negative_control(mn_params):
     scaled = zeta_Oq(mn_params, QScalar(2), ONE, ONE)
     assert check_morphism(scaled).ok
     assert not check_hopf_compatibility(scaled, ho, ho)
+
+
+# ---------------------------------------------------------------------------
+# the split-model maps, against the hand-rolled torus (x) S extension
+
+
+def _reference_extend(p, K_img, a_img, s_images, name):
+    """Each of b, c, E, F factorized as sum (K^k a^l) * s, then K, a and the
+    primed generators in s replaced by their images and summed in Dq."""
+    dq = make_Dq(p)
+    ps = primed_in_D(p)
+    embed = {"Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
+    embed.update(s_images)
+    images = {"K": K_img, "a": a_img}
+    cache: dict = {}
+    for gname in ("b", "c", "E", "F"):
+        img: dict = {}
+        for (k, l), s_el in factorize_D(p, dq.gen(gname)):
+            torus = dq.multiply(dq.power(K_img, k), dq.power(a_img, l))
+            add_scaled(img, dq.multiply(torus, substitute(s_el, embed, dq, cache)).terms)
+        images[gname] = Element(dq, img)
+    return Morphism(dq, dq, images, name=name)
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, -3), (3, 5), (-4, 7)])
+def test_split_model_maps_match_the_reference_extension(mn):
+    p = params(*mn)
+    dq = make_Dq(p)
+    ps = primed_in_D(p)
+    z1, z2 = QScalar(2), qpow(-1)
+    pairs = [
+        (
+            zeta_Dq(p, z1, z2),
+            _reference_extend(p, dq.gen("K").scale(z1), dq.gen("a").scale(z2), {}, "zeta"),
+        )
+    ]
+    z3, z4 = QScalar(3), qpow(2) * 5
+    s_images = {
+        "Ep": ps.eP.scale(z3),
+        "Fp": ps.fP.scale(z4),
+        "cp": ps.cP.scale(inverse(z3)),
+        "bp": ps.bP.scale(inverse(z4)),
+    }
+    pairs.append(
+        (xi_Dq(p, z3, z4), _reference_extend(p, dq.gen("K"), dq.gen("a"), s_images, "xi"))
+    )
+    rng = random.Random(5)
+    for _ in range(5):
+        (a11, a12), (a21, a22) = A = random_sl2(rng)
+        K_img = dq.normal_form([("K", a11), ("a", a21)])
+        a_img = dq.normal_form([("K", a12), ("a", a22)])
+        pairs.append((rho_Dq(p, A), _reference_extend(p, K_img, a_img, {}, "rho_A")))
+    for got, want in pairs:
+        assert got == want
+        assert repr(got) == repr(want)

@@ -77,6 +77,32 @@ def test_dq_relations(mn_params):
     ]
 
 
+def _named_rules(pres, gens):
+    """Rules among `gens`, keyed and tailed by generator names, so that
+    presentations with different generator orders compare."""
+    names = pres.table.names
+    out = {}
+    for (li, ei), rule in pres.rules.items():
+        if names[li] in gens and names[ei] in gens:
+            tail = {
+                tuple((names[i], e) for i, e in enumerate(mono) if e): c
+                for mono, c in rule.tail
+            }
+            out[(names[li], names[ei])] = (rule.swap, tail)
+    return out
+
+
+def test_dq_carries_the_oq_and_uq_rules(mn_params):
+    dq = make_Dq(mn_params)
+    for sub, gens in (
+        (make_Oq(mn_params), {"a", "b", "c"}),
+        (make_Uq(mn_params), {"K", "E", "F"}),
+    ):
+        want = _named_rules(sub, gens)
+        assert len(want) == 3
+        assert _named_rules(dq, gens) == want
+
+
 def test_s_orders(p11):
     m, n = p11.m, p11.n
     s1 = make_S(p11, S_ORDERS["J1"])

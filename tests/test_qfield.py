@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qheis.errors import EvaluationPole, InvalidParameter
-from qheis.qfield import ONE, ZERO, LaurentQ, QScalar, qpow
+from qheis.qfield import ONE, ZERO, QScalar, qpow, scalar_is_simple
 
 
 def conv(a, b):
@@ -24,13 +24,13 @@ def test_qpow_identity_cases():
     assert qpow(0) == ONE
     assert qpow(0).is_one()
     s = qpow(-3)
-    assert s.as_laurent().terms == {-3: Fraction(1)}
+    assert (s.shift, s.num, s.den) == (-3, (1,), (1,))
     assert qpow(2) * qpow(-2) == ONE
 
 
 def test_add_trivial():
     assert QScalar(1) + QScalar(-1) == ZERO
-    assert qpow(1) + qpow(1) == QScalar.from_laurent({1: 2})
+    assert qpow(1) + qpow(1) == QScalar.from_num_den((2,), (1,), shift=1)
 
 
 def test_add_cross_multiply_oracle():
@@ -129,7 +129,7 @@ def test_canonical_equality_of_equivalent_fractions():
     b = QScalar.from_num_den((1, 0, -1), (2,))      # (1-q^2)/2
     assert a == b
     c = QScalar.from_num_den((1, 0, -1), (1, -1))   # (1-q^2)/(1-q) = 1+q
-    assert c == QScalar.from_laurent({0: 1, 1: 1})
+    assert c == QScalar.from_num_den((1, 1), (1,))
 
 
 def test_pow():
@@ -138,17 +138,6 @@ def test_pow():
     assert s**-2 == (s * s).inv()
     assert qpow(4) ** -3 == qpow(-12)
     assert s**0 == ONE
-
-
-def test_laurent_roundtrip_and_arithmetic():
-    l1 = LaurentQ({-1: Fraction(1, 2), 2: 3})
-    l2 = LaurentQ({1: 1})
-    assert (l1 * l2).terms == {0: Fraction(1, 2), 3: Fraction(3)}
-    assert (l1 + (-l1)).terms == {}
-    s = l1.to_qscalar()
-    assert LaurentQ.from_qscalar(s) == l1
-    with pytest.raises(ValueError):
-        LaurentQ.from_qscalar((ONE - qpow(2)).inv())
 
 
 def test_fraction_and_int_interop():
@@ -233,3 +222,20 @@ def test_mul_by_integer_divides_the_denominator_content():
     assert _triple(half * 2) == _triple(want)
     assert _triple(2 * half) == _triple(want)
     assert str(half * 2) == "1/(1 + q)"
+
+
+@pytest.mark.parametrize(
+    "c, simple",
+    [
+        (qpow(-3), True),
+        (QScalar(-2) * qpow(5), True),
+        (QScalar(Fraction(3, 2)), True),
+        (QScalar(Fraction(3, 2)) * qpow(2), True),
+        (1 + qpow(1), False),
+        (qpow(1) / (1 + qpow(1)), False),
+        ((1 + qpow(1)) / 2, False),
+    ],
+)
+def test_scalar_is_simple(c, simple):
+    """A single product-safe factor: a constant denominator and one term."""
+    assert scalar_is_simple(c) is simple
