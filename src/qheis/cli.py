@@ -19,6 +19,7 @@ from .expr import context_for, elaborate_element, parse, parse_scalar
 from .hopf import DualPairing, hopf_Oq, hopf_Uq
 from .ideals import (
     build_spec_catalog,
+    catalog_generators,
     containment_probe,
     ideal_span,
     spec_diagram,
@@ -354,12 +355,12 @@ def _catalog_ideal(args, p, ctx, name):
     z = parse_scalar(args.z)
     if q0 is not None:
         z = evaluate(z, q0)
-    cat = build_spec_catalog(p, degree_bound=deg, z_samples=(z,), spres=ctx.pres)
+    gens = catalog_generators(ctx.pres, p, (z,))
     if name in ("J1", "J2"):
         name = f"{name}({z})"
-    if name not in cat.ideals:
+    if name not in gens:
         raise QheisError(f"unknown catalog ideal {name!r}")
-    return cat.ideals[name]
+    return ideal_span(ctx.pres, gens[name], degree_bound=deg)
 
 
 def _ideal_command(args, p, out) -> int:

@@ -23,7 +23,8 @@ class Echelon:
     """Row-echelon form of sparse rows {key: coeff}, grown one row at a time.
 
     Each row is monic and stored under its lead, the key that is largest
-    under `key`; its rank is the number of rows inserted before it.
+    under `key`; its rank is the number of rows inserted before it.  The
+    value of `key` is kept for each distinct term the echelon has seen.
     """
 
     def __init__(self, key):
@@ -31,30 +32,55 @@ class Echelon:
         self.rows: dict = {}
         self.order: list = []
         self.rank: dict = {}
+        self._keys: dict = {}
 
     def reduce(self, terms, below=None, steps=None) -> dict:
         """Remainder of `terms` after cancelling every lead that has a row
         (of rank < `below`, when given); stops at the first lead without
         one.  Each cancellation appends (factor, lead) to `steps`."""
+        return self._reduce(terms, below, steps)[0]
+
+    def _reduce(self, terms, below, steps):
+        """(remainder, its lead), the lead None when the remainder is 0.
+
+        Subtracting factor * row deletes the lead outright (rows are monic)
+        and, at every other key of the row, compares with w = factor * v
+        before subtracting: a key whose coefficient equals w is dropped
+        without computing the zero."""
         terms = dict(terms)
+        keys = self._keys
+        for m in terms:
+            if m not in keys:
+                keys[m] = self.key(m)
+        key_of = keys.__getitem__
+        rows = self.rows
         while terms:
-            lead = max(terms, key=self.key)
-            row = self.rows.get(lead)
+            lead = max(terms, key=key_of)
+            row = rows.get(lead)
             if row is None or (below is not None and self.rank[lead] >= below):
-                break
-            factor = terms[lead]
-            add_scaled(terms, row, -factor)
+                return terms, lead
+            factor = terms.pop(lead)
+            for m, v in row.items():
+                if m == lead:
+                    continue
+                w = factor * v
+                prev = terms.get(m)
+                if prev is None:
+                    terms[m] = -w
+                elif prev == w:
+                    del terms[m]
+                else:
+                    terms[m] = prev - w
             if steps is not None:
                 steps.append((factor, lead))
-        return terms
+        return terms, None
 
     def insert(self, terms):
         """Add the remainder of `terms` as a new row; (lead, leading
         coefficient before normalization), or None when it reduces to 0."""
-        rem = self.reduce(terms)
+        rem, lead = self._reduce(terms, None, None)
         if not rem:
             return None
-        lead = max(rem, key=self.key)
         lc = rem[lead]
         inv = inverse(lc)
         self.rank[lead] = len(self.order)
@@ -126,7 +152,7 @@ class TruncatedIdeal:
                     prod = (
                         spres.multiply(g, row) if side == "left" else spres.multiply(row, g)
                     )
-                    if not prod or prod.degree() > D:
+                    if not prod or (not additive and prod.degree() > D):
                         continue
                     new_lead = self._insert(prod.terms, (side, gi, lead))
                     if new_lead is not None:
@@ -299,21 +325,13 @@ class SpecCatalog:
         return sorted(self.ideals)
 
 
-def build_spec_catalog(
-    p: AlgebraParams, degree_bound=8, z_samples=None, spres=None
-) -> SpecCatalog:
-    if z_samples is None:
-        z_samples = (ONE, qpow(1), QScalar(-2))
-    spres = spres or make_S(p)
+def catalog_generators(spres: Presentation, p: AlgebraParams, z_samples) -> dict:
+    """Generators of each catalog ideal by name, in catalog order: 0, I1,
+    I2, I3, then J1(z) and J2(z) for each z of `z_samples`."""
     phi1, phi2 = phi_elements(spres)
     mh = abs(p.m) // p.d
     nh = abs(p.n) // p.d
-    ideals = {
-        "0": ideal_span(spres, [], degree_bound=degree_bound),
-        "I1": ideal_span(spres, [phi1], degree_bound=degree_bound),
-        "I2": ideal_span(spres, [phi2], degree_bound=degree_bound),
-        "I3": ideal_span(spres, [phi1, phi2], degree_bound=degree_bound),
-    }
+    gens = {"0": [], "I1": [phi1], "I2": [phi2], "I3": [phi1, phi2]}
     for z in z_samples:
         if p.m * p.n > 0:
             g1 = spres.power(phi1, nh) - spres.power(spres.gen("bp"), mh).scale(z)
@@ -322,8 +340,21 @@ def build_spec_catalog(
             g1 = spres.power(phi1, nh) - spres.power(spres.gen("Fp"), mh).scale(z)
             g2 = spres.power(phi2, mh) - spres.power(spres.gen("Ep"), nh).scale(z)
         ztext = str(z)
-        ideals[f"J1({ztext})"] = ideal_span(spres, [g1, phi2], degree_bound=degree_bound)
-        ideals[f"J2({ztext})"] = ideal_span(spres, [phi1, g2], degree_bound=degree_bound)
+        gens[f"J1({ztext})"] = [g1, phi2]
+        gens[f"J2({ztext})"] = [phi1, g2]
+    return gens
+
+
+def build_spec_catalog(
+    p: AlgebraParams, degree_bound=8, z_samples=None, spres=None
+) -> SpecCatalog:
+    if z_samples is None:
+        z_samples = (ONE, qpow(1), QScalar(-2))
+    spres = spres or make_S(p)
+    ideals = {
+        name: ideal_span(spres, gens, degree_bound=degree_bound)
+        for name, gens in catalog_generators(spres, p, z_samples).items()
+    }
     return SpecCatalog(p, degree_bound, tuple(z_samples), spres, ideals)
 
 

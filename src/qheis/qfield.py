@@ -86,7 +86,10 @@ def _prem(f, g):
     return r
 
 
+# gcds already computed, by (a, b); emptied when it reaches _PGCD_MEMO_CAP
+# entries (under 1 KB each), so that it cannot grow without limit
 _PGCD_MEMO: dict = {}
+_PGCD_MEMO_CAP = 1 << 15
 
 
 def _pgcd(a, b):
@@ -102,6 +105,8 @@ def _pgcd(a, b):
     if fa[-1] < 0:
         fa = [-x for x in fa]
     out = tuple(fa)
+    if len(_PGCD_MEMO) >= _PGCD_MEMO_CAP:
+        _PGCD_MEMO.clear()
     _PGCD_MEMO[key] = out
     return out
 
@@ -440,11 +445,15 @@ def add_scaled(out: dict, terms: dict, c=None) -> dict:
     """Add c * terms (terms itself when c is None) into `out` and return it.
 
     A key whose sum is zero is dropped.  A key new to `out` takes the
-    product as it is, so int and Fraction coefficients keep their type.
+    product as it is, so int and Fraction coefficients keep their type;
+    a product with the int 1 on either side is the other factor, which has
+    the product's type, so it is not computed.
     """
+    if c.__class__ is int and c == 1:
+        c = None
     for k, v in terms.items():
         if c is not None:
-            v = c * v
+            v = c if v.__class__ is int and v == 1 else c * v
         prev = out.get(k)
         s = v if prev is None else prev + v
         if s:

@@ -438,7 +438,14 @@ class Presentation:
                     word = self._word_of_mono(m1) + self._word_of_mono(m2)
                     prod = self._reduce(1, word)
                     cache[(m1, m2)] = prod
-                add_scaled(out, prod, c1 * c2)
+                # c * 1 and 1 * c are c, of the product's type
+                if c2.__class__ is int and c2 == 1:
+                    c = c1
+                elif c1.__class__ is int and c1 == 1:
+                    c = c2
+                else:
+                    c = c1 * c2
+                add_scaled(out, prod, c)
         return Element(self, out)
 
     def commutator(self, x: Element, y: Element) -> Element:

@@ -97,6 +97,36 @@ def test_ideal_contain_and_span():
     assert rec["dimension"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, spans",
+    [
+        (["ideal", "contain", "--ideal", "I1", "--other", "I3", "--deg", "4"], 2),
+        (["ideal", "span", "--ideal", "J2", "--z", "q", "--deg", "4"], 1),
+    ],
+)
+def test_catalog_ideal_builds_only_the_ideals_named(monkeypatch, argv, spans):
+    import qheis.cli
+    import qheis.ideals
+
+    original = qheis.ideals.ideal_span
+    built = []
+
+    def counted(spres, generators, *args, **kwargs):
+        built.append(len(generators))
+        return original(spres, generators, *args, **kwargs)
+
+    monkeypatch.setattr(qheis.ideals, "ideal_span", counted)
+    monkeypatch.setattr(qheis.cli, "ideal_span", counted)
+    code, _ = run_cli(argv)
+    assert (code, len(built)) == (0, spans)
+
+
+def test_catalog_ideal_unknown_name(capsys):
+    code, out = run_cli(["ideal", "span", "--ideal", "I9", "--deg", "4"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: QheisError: unknown catalog ideal 'I9'\n"
+
+
 def test_spec_diagram():
     code, out = run_cli(["spec", "diagram", "--m", "1", "--n", "1", "--deg", "6"])
     assert code == 0

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import qheis.ideals
 import qheis.qfield
+import qheis.smodules
 from qheis.errors import BoundMismatch, DegreeTooSmall
 from qheis.ideals import (
+    Echelon,
     TruncatedIdeal,
     build_spec_catalog,
     containment_probe,
@@ -20,8 +23,9 @@ from qheis.ideals import (
 )
 from qheis.morphisms import check_morphism
 from qheis.presets import make_quantum_torus, make_S, params
-from qheis.qfield import ONE, QScalar, qpow
+from qheis.qfield import ONE, QScalar, add_scaled, inverse, qpow
 from qheis.rewrite import Element, Presentation
+from qheis.smodules import QuotientModule, cyclicity_probe
 
 
 @pytest.fixture(scope="module")
@@ -365,7 +369,9 @@ def test_span_computes_no_product_it_throws_away(monkeypatch, side):
 def test_catalog_work_counts(monkeypatch):
     """Products and scalar canonicalizations of one catalog, on a fresh
     presentation so that every reduction misses the pair cache.  The full
-    closure took 4,128 products and 51,446 canonicalizations."""
+    closure took 4,128 products and 51,446 canonicalizations, and
+    subtracting every row update (zeros included) and multiplying by the
+    int 1 took 17,695 canonicalizations."""
     p = params(1, 1)
     spres = make_S.__wrapped__(p)
     z = QScalar(7)
@@ -373,4 +379,144 @@ def test_catalog_work_counts(monkeypatch):
     _count_calls(monkeypatch, Presentation, "multiply", counts)
     _count_calls(monkeypatch, qheis.qfield, "_canon", counts)
     build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
-    assert counts == {"multiply": 2128, "_canon": 17695}
+    assert counts == {"multiply": 2128, "_canon": 4078}
+
+
+# ---------------------------------------------------------------------------
+# the echelon that cancels by equality, against plain subtraction
+
+
+class ReferenceEchelon(Echelon):
+    """The echelon as it was before reduction compared coefficients: each
+    step subtracts factor * row with `add_scaled`, zeros included, and the
+    lead is the max over `key` after every step and again in `insert`."""
+
+    def reduce(self, terms, below=None, steps=None):
+        terms = dict(terms)
+        while terms:
+            lead = max(terms, key=self.key)
+            row = self.rows.get(lead)
+            if row is None or (below is not None and self.rank[lead] >= below):
+                break
+            factor = terms[lead]
+            add_scaled(terms, row, -factor)
+            if steps is not None:
+                steps.append((factor, lead))
+        return terms
+
+    def insert(self, terms):
+        rem = self.reduce(terms)
+        if not rem:
+            return None
+        lead = max(rem, key=self.key)
+        lc = rem[lead]
+        inv = inverse(lc)
+        self.rank[lead] = len(self.order)
+        self.rows[lead] = {m: c * inv for m, c in rem.items()}
+        self.order.append(lead)
+        return lead, lc
+
+
+def _typed(pairs):
+    """Pairs in order, each with the types of its two items: 1,
+    Fraction(1) and ONE are equal but are not the same coefficient."""
+    return [(a, b, type(a), type(b)) for a, b in pairs]
+
+
+class LockstepEchelon:
+    """Echelon and ReferenceEchelon fed the same calls: every remainder,
+    every list of reduction steps, every (lead, lead coefficient) and
+    every new row must agree term by term, in order and in type."""
+
+    def __init__(self, key):
+        self.new, self.ref = Echelon(key), ReferenceEchelon(key)
+        self.rows, self.order, self.rank = self.new.rows, self.new.order, self.new.rank
+
+    def reduce(self, terms, below=None, steps=None):
+        got_steps, ref_steps = [], []
+        got = self.new.reduce(terms, below, got_steps)
+        ref = self.ref.reduce(terms, below, ref_steps)
+        assert _typed(got.items()) == _typed(ref.items())
+        assert _typed(got_steps) == _typed(ref_steps)
+        if steps is not None:
+            steps.extend(got_steps)
+        return got
+
+    def insert(self, terms):
+        got = self.new.insert(terms)
+        ref = self.ref.insert(terms)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert _typed([got]) == _typed([ref])
+            rows, ref_rows = self.new.rows[got[0]], self.ref.rows[ref[0]]
+            assert _typed(rows.items()) == _typed(ref_rows.items())
+        assert self.new.order == self.ref.order
+        return got
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "q0"])
+@pytest.mark.parametrize("mn", [(1, 1), (2, -3)])
+def test_echelon_matches_reference_on_catalog(monkeypatch, mn, q0):
+    """Spans, certificate replays and certificates of a whole catalog, each
+    echelon call checked against the reference; then the same catalog
+    built on the reference alone has the same pivots, rows and moves."""
+    p = params(*mn)
+    spres = make_S(p) if q0 is None else make_S(p).specialize(q0)
+    z = QScalar(-2) if q0 is None else Fraction(-2)
+    monkeypatch.setattr(qheis.ideals, "Echelon", LockstepEchelon)
+    cat = build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
+    phi1, phi2 = phi_elements(spres)
+    probes = [phi1 * spres.gen("bp") + spres.gen("cp") * phi2, spres.gen("Ep") * phi1, phi2]
+    certs = {}
+    for name, ideal in cat.ideals.items():
+        assert isinstance(ideal.echelon, LockstepEchelon)
+        certs[name] = [ideal.certificate(x) for x in probes]
+    monkeypatch.setattr(qheis.ideals, "Echelon", ReferenceEchelon)
+    ref_cat = build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
+    for name, ideal in cat.ideals.items():
+        ref = ref_cat.ideals[name]
+        _assert_same_span(ideal, ref)
+        assert certs[name] == [ref.certificate(x) for x in probes]
+    assert any(c is not None for cs in certs.values() for c in cs)
+    assert any(c is None for cs in certs.values() for c in cs)
+
+
+@pytest.mark.parametrize("family, sigma, tau", [("J1", 0, 1), ("J3", 1, 0)])
+def test_echelon_matches_reference_in_cyclicity_probe(monkeypatch, family, sigma, tau):
+    made = []
+
+    def lockstep(key):
+        made.append(LockstepEchelon(key))
+        return made[-1]
+
+    monkeypatch.setattr(qheis.smodules, "Echelon", lockstep)
+    mod = QuotientModule(family, QScalar(sigma), QScalar(tau), params(1, 1))
+    s = mod.spres
+    a, b = (s.gen(name) for name in mod.order[:2])
+    w = mod.act(s.power(a, 4) * s.power(b, 3) + s.power(a, 2), mod.cyclic_vector())
+    assert cyclicity_probe(mod, w, 4) == "Cyclic"
+    assert len(made) == 1 and len(made[0].order) > 20
+
+
+def test_echelon_reduce_cancels_some_keys_and_keeps_others():
+    """One reduction step over int, Fraction and QScalar coefficients:
+    the keys whose coefficient equals factor * v are dropped (an int equal
+    to a Fraction, a QScalar equal to a QScalar, a QScalar equal to a
+    Fraction), another keeps its difference, a key new to the remainder
+    takes -factor * v, a key outside the row is left alone, and every
+    type is the one that plain subtraction gives."""
+    q = qpow(1)
+    row = {5: 2, 4: 1, 3: q, 2: 3, 1: Fraction(2, 3), 0: QScalar(4)}
+    terms = {5: 4, 4: 2, 3: q + q, 2: QScalar(6), 1: 7, -1: 5}
+    got = {}
+    for cls in (Echelon, ReferenceEchelon):
+        e = cls(lambda k: k)
+        assert e.insert(row) == (5, 2)
+        steps = []
+        rem = e.reduce(terms, steps=steps)
+        got[cls] = (_typed(rem.items()), _typed(steps), _typed(e.rows[5].items()))
+    assert got[Echelon] == got[ReferenceEchelon]
+    assert got[Echelon][:2] == (
+        _typed([(1, Fraction(17, 3)), (-1, 5), (0, QScalar(-8))]),
+        _typed([(4, 5)]),
+    )

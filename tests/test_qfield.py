@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qheis import qfield
 from qheis.errors import EvaluationPole, InvalidParameter
 from qheis.qfield import ONE, ZERO, QScalar, qpow, scalar_is_simple
 
@@ -239,3 +240,30 @@ def test_mul_by_integer_divides_the_denominator_content():
 def test_scalar_is_simple(c, simple):
     """A single product-safe factor: a constant denominator and one term."""
     assert scalar_is_simple(c) is simple
+
+
+def test_pgcd_memo_is_bounded(monkeypatch):
+    """With a small cap the memo is emptied whenever it is full: it never
+    holds more than the cap, and every gcd is the one an unbounded memo
+    gives, whether it is computed afresh or read back."""
+    rng = random.Random(5)
+
+    def poly():
+        return tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))) + (1,)
+
+    pairs = []
+    for _ in range(40):
+        f = poly()
+        pairs.append((qfield._pmul(f, poly()), qfield._pmul(f, poly())))
+    pairs += pairs[::3]
+    monkeypatch.setattr(qfield, "_PGCD_MEMO", {})
+    expected = [qfield._pgcd(a, b) for a, b in pairs]
+    assert len(qfield._PGCD_MEMO) > 8
+    monkeypatch.setattr(qfield, "_PGCD_MEMO", {})
+    monkeypatch.setattr(qfield, "_PGCD_MEMO_CAP", 8)
+    got = []
+    for a, b in pairs:
+        got.append(qfield._pgcd(a, b))
+        assert len(qfield._PGCD_MEMO) <= 8
+    assert got == expected
+    assert all(len(g) > 1 for g in got)
