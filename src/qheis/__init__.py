@@ -33,8 +33,6 @@ from .morphisms import (
 from .smodules import (
     QuotientModule,
     WeightModule,
-    act_D,
-    act_S,
     cyclicity_probe,
     growth_exponent,
     support,
@@ -76,8 +74,6 @@ __all__ = [
     "TruncatedIdeal",
     "WeightModule",
     "ZERO",
-    "act_D",
-    "act_S",
     "build_spec_catalog",
     "check_hopf_axioms",
     "check_inverse",

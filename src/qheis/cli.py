@@ -69,7 +69,7 @@ def _emit(out, record):
 # options a command takes only when it reads them
 _OPTIONS = {
     "seed": {"type": int, "default": None},
-    "deg": {"type": int, "default": None},
+    "deg": {"type": int, "default": 8},
     "window": {"type": int, "default": 4},
     "q": {"default": None, "metavar": "P/R", "help": "evaluate at a rational q"},
     "order": {"default": "J1", "choices": tuple(S_ORDERS)},
@@ -80,12 +80,14 @@ _OPTIONS = {
 }
 
 
-def _add_common(sub, *options):
-    """--m, --n and the named `options`."""
+def _add_common(sub, *options, **defaults):
+    """--m, --n and the named `options`; `defaults` replaces the table's
+    default of an option."""
     sub.add_argument("--m", type=int, default=1)
     sub.add_argument("--n", type=int, default=1)
     for name in options:
         sub.add_argument(f"--{name}", **_OPTIONS[name])
+    sub.set_defaults(**defaults)
 
 
 def _seed_of(args) -> int:
@@ -168,14 +170,14 @@ def build_parser():
 
     module = subs.add_parser("module", help="quotient/weight module operations")
     module_subs = module.add_subparsers(dest="action", required=True)
-    for action, has_expr, options in (
-        ("act", True, ("vec",)),
-        ("probe", True, ("deg",)),
-        ("growth", False, ("deg", "weight", "eigenvalue", "window")),
-        ("support", False, ("kind", "eigenvalue", "window")),
+    for action, has_expr, options, defaults in (
+        ("act", True, ("vec",), {}),
+        ("probe", True, ("deg",), {"deg": 6}),
+        ("growth", False, ("deg", "weight", "eigenvalue", "window"), {"deg": 24}),
+        ("support", False, ("kind", "eigenvalue", "window"), {}),
     ):
         sp = module_subs.add_parser(action)
-        _add_common(sp, *options)
+        _add_common(sp, *options, **defaults)
         sp.add_argument("--family", default="J1", choices=("J1", "J2", "J3", "J4"))
         sp.add_argument("--sigma", default="0")
         sp.add_argument("--tau", default="0")
@@ -267,8 +269,7 @@ def _dispatch(args, out) -> int:
         return _ideal_command(args, p, out)
 
     if cmd == "spec":
-        deg = args.deg if args.deg is not None else 8
-        cat = build_spec_catalog(p, degree_bound=deg)
+        cat = build_spec_catalog(p, degree_bound=args.deg)
         if args.action == "catalog":
             for name in cat.named():
                 _emit(
@@ -277,7 +278,7 @@ def _dispatch(args, out) -> int:
                         "command": "spec",
                         "ideal": name,
                         "dimension": cat.ideals[name].dimension,
-                        "degree_bound": deg,
+                        "degree_bound": args.deg,
                     },
                 )
             return 0
@@ -316,7 +317,7 @@ def _dispatch(args, out) -> int:
             m=args.m,
             n=args.n,
             seed=_seed_of(args),
-            deg=args.deg if args.deg is not None else 8,
+            deg=args.deg,
             window=args.window,
             samples=args.samples,
         )
@@ -350,7 +351,6 @@ def _dispatch(args, out) -> int:
 
 
 def _catalog_ideal(args, p, ctx, name):
-    deg = args.deg if args.deg is not None else 8
     q0 = _q0_of(args)
     z = parse_scalar(args.z)
     if q0 is not None:
@@ -360,15 +360,14 @@ def _catalog_ideal(args, p, ctx, name):
         name = f"{name}({z})"
     if name not in gens:
         raise QheisError(f"unknown catalog ideal {name!r}")
-    return ideal_span(ctx.pres, gens[name], degree_bound=deg)
+    return ideal_span(ctx.pres, gens[name], degree_bound=args.deg)
 
 
 def _ideal_command(args, p, out) -> int:
-    deg = args.deg if args.deg is not None else 8
     ctx = context_for("S", p, q0=_q0_of(args))
     if args.gens:
         gens = [elaborate_element(parse(g), ctx) for g in args.gens.split(",")]
-        ideal = ideal_span(ctx.pres, gens, side=args.side, degree_bound=deg)
+        ideal = ideal_span(ctx.pres, gens, side=args.side, degree_bound=args.deg)
         label = args.gens
     else:
         name = args.ideal or "I1"
@@ -432,8 +431,7 @@ def _module_command(args, p, out) -> int:
         ctx = context_for("S", p, order_key=args.family)
         el = elaborate_element(parse(args.expr or "1"), ctx)
         w = mod.act(el, mod.cyclic_vector())
-        deg = args.deg if args.deg is not None else 6
-        verdict = cyclicity_probe(mod, w, deg) if w else "ZeroVector"
+        verdict = cyclicity_probe(mod, w, args.deg) if w else "ZeroVector"
         _emit(
             out,
             {
@@ -445,12 +443,11 @@ def _module_command(args, p, out) -> int:
         )
         return 0
     if args.action == "growth":
-        deg = args.deg if args.deg is not None else 24
         if args.weight:
             target = WeightModule("K", parse_scalar(args.eigenvalue), mod, args.window)
         else:
             target = mod
-        slope = growth_exponent(target, deg)
+        slope = growth_exponent(target, args.deg)
         _emit(
             out,
             {

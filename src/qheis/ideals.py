@@ -23,24 +23,23 @@ class Echelon:
     """Row-echelon form of sparse rows {key: coeff}, grown one row at a time.
 
     Each row is monic and stored under its lead, the key that is largest
-    under `key`; its rank is the number of rows inserted before it.  The
-    value of `key` is kept for each distinct term the echelon has seen.
+    under `key`.  The value of `key` is kept for each distinct term the
+    echelon has seen.
     """
 
     def __init__(self, key):
         self.key = key
         self.rows: dict = {}
         self.order: list = []
-        self.rank: dict = {}
         self._keys: dict = {}
 
-    def reduce(self, terms, below=None, steps=None) -> dict:
-        """Remainder of `terms` after cancelling every lead that has a row
-        (of rank < `below`, when given); stops at the first lead without
-        one.  Each cancellation appends (factor, lead) to `steps`."""
-        return self._reduce(terms, below, steps)[0]
+    def reduce(self, terms, steps=None) -> dict:
+        """Remainder of `terms` after cancelling every lead that has a row;
+        stops at the first lead without one.  Each cancellation appends
+        (factor, lead) to `steps`."""
+        return self._reduce(terms, steps)[0]
 
-    def _reduce(self, terms, below, steps):
+    def _reduce(self, terms, steps):
         """(remainder, its lead), the lead None when the remainder is 0.
 
         Subtracting factor * row deletes the lead outright (rows are monic)
@@ -57,7 +56,7 @@ class Echelon:
         while terms:
             lead = max(terms, key=key_of)
             row = rows.get(lead)
-            if row is None or (below is not None and self.rank[lead] >= below):
+            if row is None:
                 return terms, lead
             factor = terms.pop(lead)
             for m, v in row.items():
@@ -75,15 +74,15 @@ class Echelon:
                 steps.append((factor, lead))
         return terms, None
 
-    def insert(self, terms):
+    def insert(self, terms, steps=None):
         """Add the remainder of `terms` as a new row; (lead, leading
-        coefficient before normalization), or None when it reduces to 0."""
-        rem, lead = self._reduce(terms, None, None)
+        coefficient before normalization), or None when it reduces to 0.
+        The reduction steps go to `steps` as in `reduce`."""
+        rem, lead = self._reduce(terms, steps)
         if not rem:
             return None
         lc = rem[lead]
         inv = inverse(lc)
-        self.rank[lead] = len(self.order)
         self.rows[lead] = {m: c * inv for m, c in rem.items()}
         self.order.append(lead)
         return lead, lc
@@ -98,18 +97,20 @@ class TruncatedIdeal:
         self.side = side
         self.degree_bound = degree_bound
         self.echelon = Echelon(spres.term_key)
-        # provenance: pivot lead -> (move, lead coeff before normalization);
-        # a move is ("gen", idx) or ("left"/"right", gen_index, parent_lead)
+        # provenance: pivot lead -> (move, lead coeff before normalization,
+        # reduction steps at insert); a move is ("gen", idx) or
+        # ("left"/"right", gen_index, parent_lead)
         self._moves: dict = {}
         self._combos = None
         self._build()
 
     def _insert(self, terms, move):
-        got = self.echelon.insert(terms)
+        steps = []
+        got = self.echelon.insert(terms, steps)
         if got is None:
             return None
         lead, lc = got
-        self._moves[lead] = (move, lc)
+        self._moves[lead] = (move, lc, tuple(steps))
         return lead
 
     def _build(self):
@@ -184,36 +185,31 @@ class TruncatedIdeal:
 
     def _combo_of_pivots(self):
         """Each pivot as a combination {(m1, gen_idx, m2): coeff}, rebuilt
-        deterministically from the recorded moves."""
+        deterministically from the recorded moves and insert-time steps."""
         if self._combos is not None:
             return self._combos
         spres = self.spres
         unit = tuple([0] * len(spres.table.names))
         combos: dict = {}
-        for my_rank, lead in enumerate(self.echelon.order):
-            (move, lc) = self._moves[lead]
+        for lead in self.echelon.order:
+            move, lc, steps = self._moves[lead]
             if move[0] == "gen":
-                raw = {(unit, move[1], unit): ONE}
+                combo = {(unit, move[1], unit): ONE}
             else:
                 side, gi, parent = move
-                raw = {}
+                left = side == "left"
                 g_el = spres.gen(spres.table.names[gi])
+                combo = {}
                 for (m1, idx, m2), c in combos[parent].items():
-                    if side == "left":
+                    if left:
                         expanded = spres.multiply(g_el, spres.monomial(m1))
-                        for mm, cc in expanded.terms.items():
-                            key = (mm, idx, m2)
-                            raw[key] = raw.get(key, ZERO) + c * cc
                     else:
                         expanded = spres.multiply(spres.monomial(m2), g_el)
-                        for mm, cc in expanded.terms.items():
-                            key = (m1, idx, mm)
-                            raw[key] = raw.get(key, ZERO) + c * cc
-                raw = {k: v for k, v in raw.items() if v}
-            # replay the insert-time reduction against the earlier pivots only
-            steps = []
-            self.echelon.reduce(self._value_of_combo(raw).terms, my_rank, steps)
-            combo = dict(raw)
+                    for mm, cc in expanded.terms.items():
+                        key = (mm, idx, m2) if left else (m1, idx, mm)
+                        combo[key] = combo.get(key, ZERO) + c * cc
+                combo = {k: v for k, v in combo.items() if v}
+            # the row is (product - sum factor * earlier row) / lc
             for factor, rlead in steps:
                 add_scaled(combo, combos[rlead], -factor)
             inv = inverse(lc)
@@ -221,24 +217,13 @@ class TruncatedIdeal:
         self._combos = combos
         return combos
 
-    def _value_of_combo(self, combo):
-        spres = self.spres
-        acc: dict = {}
-        for (m1, idx, m2), c in combo.items():
-            word = spres.multiply(
-                spres.multiply(spres.monomial(m1), self.generators[idx]),
-                spres.monomial(m2),
-            )
-            add_scaled(acc, word.terms, c)
-        return Element(spres, acc)
-
     def certificate(self, x: Element):
         """Combination [(coeff, m1, gen_index, m2), ...] with
         sum coeff * m1 * gen * m2 == x, or None when not in the span."""
         x = self.spres.normal_form(x)
         combos = self._combo_of_pivots()
         steps = []
-        if self.echelon.reduce(x.terms, steps=steps):
+        if self.echelon.reduce(x.terms, steps):
             return None
         out: dict = {}
         for factor, lead in steps:
@@ -246,7 +231,16 @@ class TruncatedIdeal:
         return [(c, m1, idx, m2) for (m1, idx, m2), c in out.items()]
 
     def replay_certificate(self, cert) -> Element:
-        return self._value_of_combo({(m1, idx, m2): c for c, m1, idx, m2 in cert})
+        """sum coeff * m1 * gen * m2 over the certificate."""
+        spres = self.spres
+        acc: dict = {}
+        for c, m1, idx, m2 in cert:
+            word = spres.multiply(
+                spres.multiply(spres.monomial(m1), self.generators[idx]),
+                spres.monomial(m2),
+            )
+            add_scaled(acc, word.terms, c)
+        return Element(spres, acc)
 
 
 def ideal_span(spres, generators, side="twoSided", degree_bound=8) -> TruncatedIdeal:

@@ -24,10 +24,14 @@ def _trim(c):
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def _pneg(a):
@@ -119,12 +123,11 @@ def _pdiv_exact(a, b):
     lb = b[-1]
     q = [0] * (len(a) - len(b) + 1)
     while len(r) - 1 >= db and r:
-        c, rem = divmod(r[-1], lb)
+        c, rem = divmod(r.pop(), lb)
         if rem:
             raise ArithmeticError("inexact polynomial division")
-        s = len(r) - 1 - db
+        s = len(r) - db
         q[s] = c
-        r = r[:-1]
         for i in range(db):
             r[s + i] -= c * b[i]
         while r and r[-1] == 0:

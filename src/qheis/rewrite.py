@@ -180,8 +180,15 @@ class Presentation:
             tail_terms = []
             for coeff, word in tail:
                 mono = [0] * n
+                last = -1
                 for gname, e in word:
-                    mono[index[gname]] += e
+                    i = index[gname]
+                    if i < last:
+                        raise PresentationError(
+                            f"tail word of ({u}, {v}) is not in normal order"
+                        )
+                    last = i
+                    mono[i] += e
                 tail_terms.append((tuple(mono), coeff))
             if iu > iv:
                 rule = RewriteRule(iu, iv, swap, tuple(tail_terms))
@@ -196,12 +203,7 @@ class Presentation:
                     f"duplicate relation for pair ({u}, {v})"
                 )
             rules[key] = rule
-        pres = cls(table, rules)
-        for rule in pres.rules.values():
-            for mono, _ in rule.tail:
-                if pres._reduce(1, pres._word_of_mono(mono)) != {mono: 1}:
-                    raise PresentationError("tail monomial is not in normal form")
-        return pres
+        return cls(table, rules)
 
     # -- basic constructors ---------------------------------------------------
 
@@ -245,26 +247,18 @@ class Presentation:
         degs = self.table.degrees
         return sum(degs[i] * e for i, e in enumerate(mono) if e > 0)
 
-    def _word_degree(self, word):
-        degs = self.table.degrees
-        return sum(degs[g] * e for g, e in word if e > 0)
-
-    def _word_inversions(self, word):
-        total = 0
-        for i in range(len(word)):
-            gi, ei = word[i]
-            for j in range(i + 1, len(word)):
-                gj, ej = word[j]
-                if gi > gj:
-                    total += abs(ei) * abs(ej)
-        return total
-
     def _measure(self, word):
-        return (
-            self._word_degree(word),
-            self._word_inversions(word),
-            sum(abs(e) for _, e in word),
-        )
+        """(degree, inversions) of a word: the termination order, which
+        every rewrite strictly lowers."""
+        degs = self.table.degrees
+        deg = inv = 0
+        for g, e in word:
+            if e > 0:
+                deg += degs[g] * e
+        for (gi, ei), (gj, ej) in combinations(word, 2):
+            if gi > gj:
+                inv += abs(ei * ej)
+        return deg, inv
 
     # -- the rewriting core -------------------------------------------------------
 
@@ -385,7 +379,6 @@ class Presentation:
                     continue
                 if pending is None:
                     pending, heap = {}, []
-                    degs = self.table.degrees
                 for bc, bw in live:
                     key = tuple(bw)
                     prev = pending.get(key)
@@ -397,15 +390,7 @@ class Presentation:
                             del pending[key]
                         continue
                     pending[key] = bc
-                    # minus the (degree, inversions) of _measure, inline and
-                    # only for new words, to keep short words cheap
-                    deg = inv = 0
-                    for gi, ei in key:
-                        if ei > 0:
-                            deg += degs[gi] * ei
-                    for (gi, ei), (gj, ej) in combinations(key, 2):
-                        if gi > gj:
-                            inv += abs(ei * ej)
+                    deg, inv = self._measure(key)
                     heappush(heap, (-deg, -inv, key))
             # a word whose sum cancelled to zero is still in the heap; skip it
             c = None
@@ -417,12 +402,13 @@ class Presentation:
             w = list(key)
 
     def normal_form(self, x, strategy="left"):
-        """Normal form of an Element or of a word [(name, exp), ...]."""
+        """Normal form of an Element or of a word [(name, exp), ...].
+
+        An Element is a sum of exponent vectors, each an irreducible word,
+        so it is already normal and is only moved into this presentation.
+        """
         if isinstance(x, Element):
-            out = {}
-            for mono, c in x.terms.items():
-                add_scaled(out, self._reduce(c, self._word_of_mono(mono), strategy))
-            return Element(self, out)
+            return Element(self, x.terms)
         return Element(self, self._reduce(1, self._validate_word(x), strategy))
 
     def multiply(self, x: Element, y: Element) -> Element:

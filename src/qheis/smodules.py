@@ -131,10 +131,6 @@ class QuotientModule:
         return " + ".join(bits)
 
 
-def act_S(mod: QuotientModule, s: Element, vec: dict) -> dict:
-    return mod.act(s, vec)
-
-
 @dataclass
 class WeightModule:
     """Ladder of base-module copies indexed by a truncated layer window."""
@@ -197,10 +193,6 @@ class WeightModule:
         """2d+1 layers of the base count: a lattice count that ignores the
         truncation window, not the rank of the action."""
         return (2 * d + 1) * self.base.dim_filtration(d)
-
-
-def act_D(wm: WeightModule, x: Element, vec: dict) -> dict:
-    return wm.act(x, vec)
 
 
 def support(wm: WeightModule):

@@ -232,7 +232,7 @@ def test_torus_quotient_map(mn_params):
 def test_certificate_replays_every_basis_element(mn):
     """Certificates for a whole basis.  With a generator whose lead is not
     a monomial of the catalog kind, rows are reduced against earlier rows
-    when they are inserted, so the replay of those reductions is used."""
+    when they are inserted, so the steps of those reductions are used."""
     s = make_S(params(*mn))
     phi1, _ = phi_elements(s)
     for gens in ([phi1 + s.gen("bp")], [s.multiply(s.gen("Ep"), s.gen("Fp")) + s.gen("cp")]):
@@ -382,6 +382,39 @@ def test_catalog_work_counts(monkeypatch):
     assert counts == {"multiply": 2128, "_canon": 4078}
 
 
+@pytest.fixture(scope="module")
+def fresh_cat11():
+    """The catalog of test_catalog_work_counts, its own presentation."""
+    p = params(1, 1)
+    spres = make_S.__wrapped__(p)
+    return build_spec_catalog(p, degree_bound=6, z_samples=(QScalar(7),), spres=spres)
+
+
+def test_diagram_reduces_no_word(monkeypatch, fresh_cat11):
+    """Elements are normal by construction, so membership normalizes
+    nothing; moving each basis row through `_reduce` took 760 calls."""
+    counts = {}
+    _count_calls(monkeypatch, Presentation, "_reduce", counts)
+    spec_diagram(fresh_cat11)
+    assert counts == {}
+
+
+def test_first_certificate_reuses_the_insert_steps(monkeypatch, fresh_cat11):
+    """The pivot combinations take the steps recorded when each row was
+    inserted; replaying every pivot's product against the earlier rows
+    took 289 products and 71 echelon reductions."""
+    spres = fresh_cat11.spres
+    ideal = fresh_cat11.ideals["I1"]
+    phi1, _ = phi_elements(spres)
+    x = spres.gen("bp") * phi1 * spres.gen("Fp")
+    counts = {}
+    _count_calls(monkeypatch, Presentation, "multiply", counts)
+    _count_calls(monkeypatch, Echelon, "reduce", counts)
+    cert = ideal.certificate(x)
+    assert counts["multiply"] <= 83 and counts["reduce"] == 1
+    assert ideal.replay_certificate(cert) == x
+
+
 # ---------------------------------------------------------------------------
 # the echelon that cancels by equality, against plain subtraction
 
@@ -391,12 +424,12 @@ class ReferenceEchelon(Echelon):
     step subtracts factor * row with `add_scaled`, zeros included, and the
     lead is the max over `key` after every step and again in `insert`."""
 
-    def reduce(self, terms, below=None, steps=None):
+    def reduce(self, terms, steps=None):
         terms = dict(terms)
         while terms:
             lead = max(terms, key=self.key)
             row = self.rows.get(lead)
-            if row is None or (below is not None and self.rank[lead] >= below):
+            if row is None:
                 break
             factor = terms[lead]
             add_scaled(terms, row, -factor)
@@ -404,14 +437,13 @@ class ReferenceEchelon(Echelon):
                 steps.append((factor, lead))
         return terms
 
-    def insert(self, terms):
-        rem = self.reduce(terms)
+    def insert(self, terms, steps=None):
+        rem = self.reduce(terms, steps)
         if not rem:
             return None
         lead = max(rem, key=self.key)
         lc = rem[lead]
         inv = inverse(lc)
-        self.rank[lead] = len(self.order)
         self.rows[lead] = {m: c * inv for m, c in rem.items()}
         self.order.append(lead)
         return lead, lc
@@ -425,26 +457,31 @@ def _typed(pairs):
 
 class LockstepEchelon:
     """Echelon and ReferenceEchelon fed the same calls: every remainder,
-    every list of reduction steps, every (lead, lead coefficient) and
-    every new row must agree term by term, in order and in type."""
+    every list of reduction steps (of `reduce` and of `insert`), every
+    (lead, lead coefficient) and every new row must agree term by term,
+    in order and in type."""
 
     def __init__(self, key):
         self.new, self.ref = Echelon(key), ReferenceEchelon(key)
-        self.rows, self.order, self.rank = self.new.rows, self.new.order, self.new.rank
+        self.rows, self.order = self.new.rows, self.new.order
 
-    def reduce(self, terms, below=None, steps=None):
+    def reduce(self, terms, steps=None):
         got_steps, ref_steps = [], []
-        got = self.new.reduce(terms, below, got_steps)
-        ref = self.ref.reduce(terms, below, ref_steps)
+        got = self.new.reduce(terms, got_steps)
+        ref = self.ref.reduce(terms, ref_steps)
         assert _typed(got.items()) == _typed(ref.items())
         assert _typed(got_steps) == _typed(ref_steps)
         if steps is not None:
             steps.extend(got_steps)
         return got
 
-    def insert(self, terms):
-        got = self.new.insert(terms)
-        ref = self.ref.insert(terms)
+    def insert(self, terms, steps=None):
+        got_steps, ref_steps = [], []
+        got = self.new.insert(terms, got_steps)
+        ref = self.ref.insert(terms, ref_steps)
+        assert _typed(got_steps) == _typed(ref_steps)
+        if steps is not None:
+            steps.extend(got_steps)
         assert (got is None) == (ref is None)
         if got is not None:
             assert _typed([got]) == _typed([ref])

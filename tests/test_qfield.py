@@ -267,3 +267,26 @@ def test_pgcd_memo_is_bounded(monkeypatch):
         assert len(qfield._PGCD_MEMO) <= 8
     assert got == expected
     assert all(len(g) > 1 for g in got)
+
+
+# ---------------------------------------------------------------------------
+# the integer polynomial helpers
+
+
+_trimmed = _polys.map(qfield._trim)
+
+
+@_fast
+@given(a=_trimmed, b=_trimmed.filter(any))
+def test_exact_division_undoes_the_product(a, b):
+    assert qfield._pdiv_exact(qfield._pmul(a, b), b) == a
+    assert qfield._padd(a, b) == qfield._trim(_plus(a, b))
+    assert qfield._padd(a, qfield._pneg(a)) == ()
+
+
+@pytest.mark.parametrize("a, b", [((1, 0, 1), (1, 1)), ((1, 1), (1, 2)), ((3,), (2,))])
+def test_inexact_division_raises(a, b):
+    """1 + q^2 over 1 + q leaves a remainder, and 1 + q over 1 + 2q or 3
+    over 2 is not integral."""
+    with pytest.raises(ArithmeticError, match="inexact"):
+        qfield._pdiv_exact(a, b)

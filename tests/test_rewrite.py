@@ -127,6 +127,26 @@ def test_incomplete_rule_table_rejected():
         )
 
 
+def test_out_of_order_tail_word_rejected():
+    """z*x = x*z + y*x, with z of degree 3: the tail word y*x lists y
+    before the earlier x."""
+    rel = [("y", "x", ONE, []), ("z", "y", ONE, [])]
+    with pytest.raises(PresentationError, match="normal order"):
+        Presentation.from_relations(
+            names=("x", "y", "z"),
+            invertible=(False,) * 3,
+            degrees=(1, 1, 3),
+            relations=rel + [("z", "x", ONE, [(ONE, [("y", 1), ("x", 1)])])],
+        )
+    ordered = Presentation.from_relations(
+        names=("x", "y", "z"),
+        invertible=(False,) * 3,
+        degrees=(1, 1, 3),
+        relations=rel + [("z", "x", ONE, [(ONE, [("x", 1), ("y", 1)])])],
+    )
+    assert ordered.rules[(2, 0)].tail == (((1, 1, 0), ONE),)
+
+
 def test_normal_form_idempotent(mn_params):
     dq = make_Dq(mn_params)
     rng = random.Random(17)
