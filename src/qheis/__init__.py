@@ -20,7 +20,7 @@ from .presets import (
     primed_in_D,
     recombine_D,
 )
-from .hopf import DualPairing, HopfStructure, TensorElement, check_hopf_axioms, hopf_Oq, hopf_Uq
+from .hopf import DualPairing, HopfStructure, check_hopf_axioms, hopf_Oq, hopf_Uq
 from .morphisms import (
     Morphism,
     check_inverse,
@@ -70,7 +70,6 @@ __all__ = [
     "RunConfig",
     "SpecCatalog",
     "S_ORDERS",
-    "TensorElement",
     "TruncatedIdeal",
     "WeightModule",
     "ZERO",

@@ -46,20 +46,26 @@ def _element_json(el: Element):
     return {"terms": terms, "text": pres.render_element(el)}
 
 
-def _tensor_json(tens):
-    pres = tens.pres
+def _tensor_json(pres, halves):
+    """JSON of {(left, right): coeff}, a sum of tensors of monomials of `pres`."""
     terms = []
+    bits = []
     for (ml, mr) in sorted(
-        tens.terms, key=lambda k: (pres.term_sort_key(k[0]), pres.term_sort_key(k[1]))
+        halves, key=lambda k: (pres.term_sort_key(k[0]), pres.term_sort_key(k[1]))
     ):
+        c = halves[(ml, mr)]
         terms.append(
             {
-                "coeff": str(tens.terms[(ml, mr)]),
+                "coeff": str(c),
                 "left": {pres.table.names[i]: e for i, e in enumerate(ml) if e},
                 "right": {pres.table.names[i]: e for i, e in enumerate(mr) if e},
             }
         )
-    return {"terms": terms, "text": str(tens)}
+        coeff = "" if c == 1 else f"{c} * "
+        lt = pres.render_monomial(ml) or "1"
+        rt = pres.render_monomial(mr) or "1"
+        bits.append(f"{coeff}({lt}) (*) ({rt})")
+    return {"terms": terms, "text": " + ".join(bits) or "0"}
 
 
 def _emit(out, record):
@@ -236,7 +242,7 @@ def _dispatch(args, out) -> int:
         h = hopf_Oq(p) if args.algebra == "Oq" else hopf_Uq(p)
         el = elaborate_element(parse(args.expr), ctx)
         if cmd == "delta":
-            _emit(out, {"command": "delta", **_tensor_json(h.coproduct(el))})
+            _emit(out, {"command": "delta", **_tensor_json(h.pres, h.split_coproduct(el))})
         elif cmd == "counit":
             _emit(out, {"command": "counit", "value": str(h.counit(el))})
         else:

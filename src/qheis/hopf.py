@@ -1,7 +1,9 @@
 """Hopf structure on Oq and Uq, their dual pairing, and the smash product check.
 
-The coproduct, counit and antipode are fixed on generators and extended
-multiplicatively (anti-multiplicatively for the antipode).  The pairing is
+The coproduct is an algebra map from A into its tensor square A (x) A and
+the antipode an algebra anti-map of A; both are fixed on generators and
+extended by the substitution routine of the rewriting engine.  The counit
+is 1 on the group-like generators and 0 on the others.  The pairing is
 derived from the non-vanishing letter pairs <K, a>, <E, c> and <F, b>, the
 counits and the two coproducts through the laws of a Hopf pairing; every
 unlisted letter pair is zero.  The action u.x = sum
@@ -13,129 +15,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MismatchedParams, NegativePowerOfNonInvertible
+from .errors import MismatchedParams
+from .morphisms import Morphism, check_morphism
 from .presets import AlgebraParams, make_Dq, make_Oq, make_Uq
 from .qfield import ONE, ZERO, add_scaled, qpow
-from .rewrite import Element, Presentation
-
-
-class TensorElement:
-    """Finite sum of monomial pairs over one presentation, exact coefficients."""
-
-    __slots__ = ("pres", "terms")
-
-    def __init__(self, pres, terms):
-        self.pres = pres
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    @classmethod
-    def unit(cls, pres):
-        u = tuple([0] * len(pres.table.names))
-        return cls(pres, {(u, u): 1})
-
-    @classmethod
-    def outer(cls, x: Element, y: Element) -> "TensorElement":
-        """x (x) y for two elements of one presentation."""
-        return cls(
-            x.pres,
-            {(ml, mr): cl * cr for ml, cl in x.terms.items() for mr, cr in y.terms.items()},
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.pres.table.names == other.pres.table.names and self.terms == other.terms
-
-    def __add__(self, other):
-        return TensorElement(self.pres, add_scaled(dict(self.terms), other.terms))
-
-    def __mul__(self, other):
-        """Componentwise product, each factor normal-formed independently."""
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        pres = self.pres
-        out: dict = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                left = pres.multiply(pres.monomial(l1), pres.monomial(l2))
-                right = pres.multiply(pres.monomial(r1), pres.monomial(r2))
-                add_scaled(out, TensorElement.outer(left, right).terms, c1 * c2)
-        return TensorElement(pres, out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pres = self.pres
-        bits = []
-        for (ml, mr) in sorted(
-            self.terms, key=lambda k: (pres.term_sort_key(k[0]), pres.term_sort_key(k[1]))
-        ):
-            c = self.terms[(ml, mr)]
-            lt = pres.render_monomial(ml) or "1"
-            rt = pres.render_monomial(mr) or "1"
-            coeff = "" if c == 1 else f"{c} * "
-            bits.append(f"{coeff}({lt}) (*) ({rt})")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"<{self}>"
+from .rewrite import Element, Presentation, substitute
 
 
 @dataclass
 class HopfStructure:
-    """Coproduct, counit and antipode data over one presentation."""
+    """Coproduct, counit and antipode of one presentation A.
+
+    `delta` is the coproduct as a Morphism from A to its tensor square,
+    `s_images` maps each generator name to its antipode, and the counit is
+    1 on the generators whose indices are in `group_like`, 0 on the others.
+    """
 
     pres: Presentation
-    group_like: frozenset            # indices of group-like generators (a or K)
-    delta_gen: dict                  # index -> TensorElement
-    s_gen: dict                      # index -> Element
-    _delta_cache: dict = field(default_factory=dict)
-    _delta_pow: dict = field(default_factory=dict)
-    _s_pow: dict = field(default_factory=dict)
+    delta: Morphism
+    s_images: dict
+    group_like: frozenset
+    _halves: dict = field(default_factory=dict, init=False, repr=False)
+    _s_pow: dict = field(default_factory=dict, init=False, repr=False)
 
-    def _gen_mono(self, i, e):
-        mono = [0] * len(self.pres.table.names)
-        mono[i] = e
-        return tuple(mono)
+    def coproduct(self, x: Element) -> Element:
+        """Delta(x), an element of the tensor square of A."""
+        return self.delta.apply(x)
 
-    def coproduct(self, x: Element) -> TensorElement:
+    def split_coproduct(self, x: Element) -> dict:
+        """Delta(x) as {(left, right): coeff} with left and right monomials of A."""
         out: dict = {}
         for mono, c in x.terms.items():
-            add_scaled(out, self._delta_mono(mono).terms, c)
-        return TensorElement(self.pres, out)
-
-    def _delta_mono(self, mono) -> TensorElement:
-        cached = self._delta_cache.get(mono)
-        if cached is not None:
-            return cached
-        acc = TensorElement.unit(self.pres)
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            acc = acc * self._delta_pow_of(i, e)
-        self._delta_cache[mono] = acc
-        return acc
-
-    def _delta_pow_of(self, i, e) -> TensorElement:
-        key = (i, e)
-        cached = self._delta_pow.get(key)
-        if cached is not None:
-            return cached
-        if i in self.group_like:
-            g = self._gen_mono(i, e)
-            out = TensorElement(self.pres, {(g, g): 1})
-        else:
-            if e < 0:
-                raise NegativePowerOfNonInvertible(self.pres.table.names[i])
-            out = TensorElement.unit(self.pres)
-            base = self.delta_gen[i]
-            for _ in range(e):
-                out = out * base
-        self._delta_pow[key] = out
+            add_scaled(out, self._delta_mono(mono), c)
         return out
+
+    def _delta_mono(self, mono) -> dict:
+        """Delta of one monomial of A, split in the middle of the exponent
+        vectors of A (x) A (the first half is the first tensor factor) and
+        kept, since the pairing asks for the same monomials again and again."""
+        halves = self._halves.get(mono)
+        if halves is None:
+            k = len(mono)
+            image = self.coproduct(self.pres.monomial(mono))
+            halves = {(t[:k], t[k:]): c for t, c in image.terms.items()}
+            self._halves[mono] = halves
+        return halves
 
     def counit(self, x: Element):
         return sum((c * self.counit_mono(mono) for mono, c in x.terms.items()), ZERO)
@@ -148,61 +72,53 @@ class HopfStructure:
         )
 
     def antipode(self, x: Element) -> Element:
-        out: dict = {}
-        for mono, c in x.terms.items():
-            acc = self.pres.one()
-            for i, e in reversed(list(enumerate(mono))):
-                if not e:
-                    continue
-                acc = self.pres.multiply(acc, self._s_pow_of(i, e))
-            add_scaled(out, acc.terms, c)
-        return Element(self.pres, out)
+        return substitute(x, self.s_images, self.pres, self._s_pow, reverse=True)
 
-    def _s_pow_of(self, i, e) -> Element:
-        key = (i, e)
-        cached = self._s_pow.get(key)
-        if cached is not None:
-            return cached
-        if i in self.group_like:
-            out = self.pres.monomial(self._gen_mono(i, -e))
-        else:
-            out = self.pres.power(self.s_gen[i], e)
-        self._s_pow[key] = out
-        return out
+
+def _hopf(pres: Presentation, group_like, delta: dict, antipode: dict) -> HopfStructure:
+    """The Hopf structure with the given generator images of Delta and S;
+    Delta sends each generator g named in `group_like` to g (x) g, and S
+    sends it to g^-1."""
+    square = pres.tensor_square()
+    for g in group_like:
+        delta[g] = square.normal_form([(f"{g}(1)", 1), (f"{g}(2)", 1)])
+        antipode[g] = pres.gen(g, -1)
+    return HopfStructure(
+        pres,
+        Morphism(pres, square, delta, name="delta"),
+        antipode,
+        frozenset(pres.index[g] for g in group_like),
+    )
 
 
 def hopf_Oq(p: AlgebraParams) -> HopfStructure:
     oq = make_Oq(p)
+    tensor = oq.tensor_square().normal_form
     m, n = p.m, p.n
-    ic, ia, ib = oq.index["c"], oq.index["a"], oq.index["b"]
-    b, c = oq.gen("b"), oq.gen("c")
-    outer = TensorElement.outer
     delta = {
-        ib: outer(b, oq.gen("a", -n)) + outer(oq.gen("a", n), b),
-        ic: outer(c, oq.gen("a", m)) + outer(oq.gen("a", -m), c),
+        "b": tensor([("b(1)", 1), ("a(2)", -n)]) + tensor([("a(1)", n), ("b(2)", 1)]),
+        "c": tensor([("c(1)", 1), ("a(2)", m)]) + tensor([("a(1)", -m), ("c(2)", 1)]),
     }
     anti = {
-        ib: b.scale(-qpow(-n * n)),
-        ic: c.scale(-qpow(m * m)),
+        "b": oq.gen("b").scale(-qpow(-n * n)),
+        "c": oq.gen("c").scale(-qpow(m * m)),
     }
-    return HopfStructure(oq, frozenset({ia}), delta, anti)
+    return _hopf(oq, ("a",), delta, anti)
 
 
 def hopf_Uq(p: AlgebraParams) -> HopfStructure:
     uq = make_Uq(p)
+    tensor = uq.tensor_square().normal_form
     m, n = p.m, p.n
-    iF, iK, iE = uq.index["F"], uq.index["K"], uq.index["E"]
-    E, F, one = uq.gen("E"), uq.gen("F"), uq.one()
-    outer = TensorElement.outer
     delta = {
-        iE: outer(E, uq.gen("K", m)) + outer(one, E),
-        iF: outer(F, one) + outer(uq.gen("K", -n), F),
+        "E": tensor([("E(1)", 1), ("K(2)", m)]) + tensor([("E(2)", 1)]),
+        "F": tensor([("F(1)", 1)]) + tensor([("K(1)", -n), ("F(2)", 1)]),
     }
     anti = {
-        iE: uq.normal_form([("E", 1), ("K", -m)]).scale(-ONE),
-        iF: uq.normal_form([("K", n), ("F", 1)]).scale(-ONE),
+        "E": uq.normal_form([("E", 1), ("K", -m)]).scale(-ONE),
+        "F": uq.normal_form([("K", n), ("F", 1)]).scale(-ONE),
     }
-    return HopfStructure(uq, frozenset({iK}), delta, anti)
+    return _hopf(uq, ("K",), delta, anti)
 
 
 @dataclass
@@ -215,46 +131,46 @@ class HopfReport:
 
 def check_hopf_axioms(h: HopfStructure, degree_bound=3, samples=100, seed=0) -> HopfReport:
     """Coassociativity, counit and antipode laws on seeded random elements,
-    plus preservation of every defining relation by Delta, eps and S."""
+    and the defining relations under Delta, S and eps: Delta must be an
+    algebra map, and for each rule L*E = swap*E*L + tail, S(E)S(L) must
+    equal swap*S(L)S(E) + S(tail) and eps(L)eps(E) must equal
+    swap*eps(E)eps(L) + eps(tail)."""
     import random
 
     from .sampling import random_element
 
     pres = h.pres
-    relation_failures = []
+    names = pres.table.names
+    relation_failures = [("delta", name) for name, _ in check_morphism(h.delta).failures]
+    S, eps = h.antipode, h.counit
     for (li, ei), rule in pres.rules.items():
-        L = pres.gen(pres.table.names[li])
-        E = pres.gen(pres.table.names[ei])
-        rel_lhs = pres.multiply(L, E)
-        rel_rhs = pres.multiply(E, L).scale(rule.swap) + Element(pres, dict(rule.tail))
-        name = f"{pres.table.names[li]}*{pres.table.names[ei]}"
-        if h.coproduct(rel_lhs) != h.coproduct(rel_rhs):
-            relation_failures.append(("delta", name))
-        if h.antipode(rel_lhs) != h.antipode(rel_rhs):
+        L, E = pres.gen(names[li]), pres.gen(names[ei])
+        tail = Element(pres, dict(rule.tail))
+        name = f"{names[li]}*{names[ei]}"
+        if S(E) * S(L) != (S(L) * S(E)).scale(rule.swap) + S(tail):
             relation_failures.append(("antipode", name))
-        if h.counit(rel_lhs) != h.counit(rel_rhs):
+        if eps(L) * eps(E) != rule.swap * eps(E) * eps(L) + eps(tail):
             relation_failures.append(("counit", name))
 
     rng = random.Random(seed)
     sample_failures = []
-    unit_mono = tuple([0] * len(pres.table.names))
     for k in range(samples):
         x = random_element(pres, rng, max_degree=degree_bound)
-        dx = h.coproduct(x)
+        dx = h.split_coproduct(x)
         # coassociativity
         left: dict = {}
         right: dict = {}
-        for (m1, m2), c in dx.terms.items():
-            d1 = h._delta_mono(m1).terms
+        for (m1, m2), c in dx.items():
+            d1 = h._delta_mono(m1)
             add_scaled(left, {(a1, a2, m2): c2 for (a1, a2), c2 in d1.items()}, c)
-            d2 = h._delta_mono(m2).terms
+            d2 = h._delta_mono(m2)
             add_scaled(right, {(m1, b1, b2): c2 for (b1, b2), c2 in d2.items()}, c)
         if left != right:
             sample_failures.append((k, "coassociativity"))
         # counit laws
         eps_id: dict = {}
         id_eps: dict = {}
-        for (m1, m2), c in dx.terms.items():
+        for (m1, m2), c in dx.items():
             add_scaled(eps_id, {m2: 1}, c * h.counit_mono(m1))
             add_scaled(id_eps, {m1: 1}, c * h.counit_mono(m2))
         if eps_id != x.terms or id_eps != x.terms:
@@ -262,7 +178,7 @@ def check_hopf_axioms(h: HopfStructure, degree_bound=3, samples=100, seed=0) -> 
         # antipode law
         s_id: dict = {}
         id_s: dict = {}
-        for (m1, m2), c in dx.terms.items():
+        for (m1, m2), c in dx.items():
             mono1, mono2 = pres.monomial(m1), pres.monomial(m2)
             add_scaled(s_id, pres.multiply(h.antipode(mono1), mono2).terms, c)
             add_scaled(id_s, pres.multiply(mono1, h.antipode(mono2)).terms, c)
@@ -307,13 +223,6 @@ class DualPairing:
         return ZERO
 
     @staticmethod
-    def _mono_from_letters(letters, width):
-        mono = [0] * width
-        for i, e in letters:
-            mono[i] += e
-        return tuple(mono)
-
-    @staticmethod
     def _split_first(mono):
         """(first signed letter, rest) with letter * rest == mono: the
         monomial is normal-ordered, so the product needs no rewriting."""
@@ -345,14 +254,14 @@ class DualPairing:
         elif nu > 1:
             u, v = self._split_first(mu)
             out = ZERO
-            for (x1, x2), c in self.ho._delta_mono(mx).terms.items():
+            for (x1, x2), c in self.ho._delta_mono(mx).items():
                 left = self._pair_mono(u, x1)
                 if left:
                     out = out + c * left * self._pair_mono(v, x2)
         else:
             x, y = self._split_first(mx)
             out = ZERO
-            for (u1, u2), c in self.hu._delta_mono(mu).terms.items():
+            for (u1, u2), c in self.hu._delta_mono(mu).items():
                 left = self._pair_mono(u1, x)
                 if left:
                     out = out + c * left * self._pair_mono(u2, y)
@@ -385,7 +294,7 @@ class DualPairing:
         self._check_operands(u, x)
         out: dict = {}
         for mx, cx in x.terms.items():
-            for (x1, x2), c in self.ho._delta_mono(mx).terms.items():
+            for (x1, x2), c in self.ho._delta_mono(mx).items():
                 for mu, cu in u.terms.items():
                     v = self._pair_mono(mu, x2)
                     if v:
@@ -408,7 +317,7 @@ class DualPairing:
             y = random_element(self.oq, rng, max_degree=degree_bound, n_terms=2)
             lhs = self.act(u, self.oq.multiply(x, y))
             rhs: dict = {}
-            for (u1, u2), c in self.hu.coproduct(u).terms.items():
+            for (u1, u2), c in self.hu.split_coproduct(u).items():
                 acted = self.oq.multiply(
                     self.act(self.uq.monomial(u1), x),
                     self.act(self.uq.monomial(u2), y),
@@ -433,7 +342,7 @@ class DualPairing:
                 terms: dict = {}
                 u_el = self.uq.gen(uname, ue)
                 x_el = self.oq.gen(xname, xe)
-                for (u1, u2), c in self.hu.coproduct(u_el).terms.items():
+                for (u1, u2), c in self.hu.split_coproduct(u_el).items():
                     acted = self.act(self.uq.monomial(u1), x_el)
                     for mo, co in acted.terms.items():
                         word = [

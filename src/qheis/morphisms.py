@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConstraintViolation, TypeMismatch, UnknownGenerator
-from .hopf import TensorElement
 from .presets import (
     AlgebraParams,
     _unprimed_images,
@@ -20,7 +19,7 @@ from .presets import (
     params,
     primed_in_D,
 )
-from .qfield import QScalar, add_scaled, inverse
+from .qfield import QScalar, inverse
 from .rewrite import Element, Presentation, substitute
 
 
@@ -109,17 +108,13 @@ def check_inverse(f: Morphism, g: Morphism) -> bool:
 
 
 def check_hopf_compatibility(f: Morphism, h_src, h_tgt) -> bool:
-    """Delta_target(f(g)) == (f (x) f)(Delta_source(g)) on every generator."""
-    for gname in f.source.table.names:
-        lhs = h_tgt.coproduct(f.images[gname])
-        rhs: dict = {}
-        for (m1, m2), c in h_src.coproduct(f.source.gen(gname)).terms.items():
-            left = f.apply(f.source.monomial(m1))
-            right = f.apply(f.source.monomial(m2))
-            add_scaled(rhs, TensorElement.outer(left, right).terms, c)
-        if lhs != TensorElement(f.target, rhs):
-            return False
-    return True
+    """Delta_target after f equals (f (x) f) after Delta_source."""
+    src, tgt = f.source.tensor_square(), f.target.tensor_square()
+    images = {}
+    for k in (1, 2):
+        into = Morphism(f.target, tgt, {g: tgt.gen(f"{g}({k})") for g in f.target.table.names})
+        images.update({f"{g}({k})": into.apply(img) for g, img in f.images.items()})
+    return compose(h_tgt.delta, f) == compose(Morphism(src, tgt, images), h_src.delta)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,8 @@ class QScalar:
         """self * c*q^k, canonical without a polynomial gcd: scaling by c
         leaves gcd(num, den) alone, and after dividing by
         g = gcd(c, content(den)) the contents stay coprime."""
+        if not k and c == 1:
+            return self  # scalars are immutable, so the product can share it
         num, den = self.num, self.den
         if c != 1:
             g = gcd(c, _content(den))
@@ -324,7 +326,7 @@ class QScalar:
         base = self if k > 0 else self.inv()
         k = abs(k)
         if base.is_q_power():
-            return QScalar._raw(base.shift * k, (1,), (1,))
+            return qpow(base.shift * k)
         acc = ONE
         while k:
             if k & 1:

@@ -30,7 +30,7 @@ from .errors import (
     PresentationError,
     UnknownGenerator,
 )
-from .qfield import add_scaled, evaluate, inverse, scalar_is_negative, scalar_is_simple
+from .qfield import ONE, add_scaled, evaluate, inverse, scalar_is_negative, scalar_is_simple
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ class Presentation:
                     )
         self.rules = dict(rules)
         self._pair_cache = {}
+        self._square = None
         self._unit = tuple([0] * n)
         self._debug = bool(os.environ.get("QHEIS_DEBUG"))
         for rule in self.rules.values():
@@ -204,6 +205,30 @@ class Presentation:
                 )
             rules[key] = rule
         return cls(table, rules)
+
+    def tensor_square(self) -> "Presentation":
+        """A (x) A on the generators g(1) of the first copy, then g(2) of the
+        second: each copy keeps the rules of A and the copies commute.  It
+        is built once, so its pair cache lives as long as A does."""
+        if self._square is None:
+            t = self.table
+            k = len(t.names)
+            pad = (0,) * k
+            rules = {}
+            for (i, j), r in self.rules.items():
+                for s in (0, k):
+                    tail = tuple((pad + m if s else m + pad, c) for m, c in r.tail)
+                    rules[(i + s, j + s)] = RewriteRule(i + s, j + s, r.swap, tail)
+            for i in range(k):
+                for j in range(k):
+                    rules[(k + i, j)] = RewriteRule(k + i, j, ONE, ())
+            table = GeneratorTable(
+                tuple(f"{g}({copy})" for copy in (1, 2) for g in t.names),
+                t.invertible * 2,
+                t.degrees * 2,
+            )
+            self._square = Presentation(table, rules)
+        return self._square
 
     # -- basic constructors ---------------------------------------------------
 
@@ -405,9 +430,12 @@ class Presentation:
         """Normal form of an Element or of a word [(name, exp), ...].
 
         An Element is a sum of exponent vectors, each an irreducible word,
-        so it is already normal and is only moved into this presentation.
+        so it is already normal and is only moved into this presentation,
+        which must have the same generators.
         """
         if isinstance(x, Element):
+            if x.pres is not self and x.pres.table.names != self.table.names:
+                raise PresentationError("element belongs to a different presentation")
             return Element(self, x.terms)
         return Element(self, self._reduce(1, self._validate_word(x), strategy))
 
@@ -544,24 +572,31 @@ class Presentation:
         return text
 
 
-def substitute(x: Element, images: dict, target: Presentation, cache=None) -> Element:
+def substitute(
+    x: Element, images: dict, target: Presentation, cache=None, reverse=False
+) -> Element:
     """Push an element through generator images living in `target`.
 
     `images` maps source generator names to target Elements; negative
     exponents require the image to be an invertible one-term monomial.
     `cache` maps (name, exponent) to the image power; callers that push
-    many elements through the same images pass the same dict.
+    many elements through the same images pass the same dict.  With
+    `reverse` the image powers of a monomial are multiplied from its last
+    generator to its first, which extends an anti-homomorphism.
     """
     if cache is None:
         cache = {}
     names = x.pres.table.names
+    order = range(len(names) - 1, -1, -1) if reverse else range(len(names))
     out: dict = {}
     for mono, coeff in x.terms.items():
-        acc = target.one()
-        for i, e in enumerate(mono):
+        acc = None
+        for i in order:
+            e = mono[i]
             if e:
-                acc = target.multiply(acc, _image_power(images, target, cache, names[i], e))
-        add_scaled(out, acc.terms, coeff)
+                img = _image_power(images, target, cache, names[i], e)
+                acc = img if acc is None else target.multiply(acc, img)
+        add_scaled(out, (target.one() if acc is None else acc).terms, coeff)
     return Element(target, out)
 
 

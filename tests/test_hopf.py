@@ -1,10 +1,12 @@
 """Hopf layer: axioms, dual pairing, module-algebra action, smash relations."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from qheis.hopf import DualPairing, TensorElement, check_hopf_axioms, hopf_Oq, hopf_Uq
+from qheis.hopf import DualPairing, check_hopf_axioms, hopf_Oq, hopf_Uq
+from qheis.morphisms import Morphism
 from qheis.presets import make_Dq, make_Oq, params
 from qheis.qfield import ONE, ZERO, qpow
 from qheis.sampling import random_element
@@ -20,12 +22,13 @@ def test_coproduct_generators(p11):
         v[i] = e
         return tuple(v)
 
-    assert ho.coproduct(oq.gen("a")) == TensorElement(
-        oq, {(mono(ia, 1), mono(ia, 1)): 1}
-    )
-    assert ho.coproduct(oq.gen("b")) == TensorElement(
-        oq, {(mono(ib, 1), mono(ia, -1)): 1, (mono(ia, 1), mono(ib, 1)): 1}
-    )
+    assert ho.split_coproduct(oq.gen("a")) == {(mono(ia, 1), mono(ia, 1)): 1}
+    assert ho.split_coproduct(oq.gen("b")) == {
+        (mono(ib, 1), mono(ia, -1)): 1,
+        (mono(ia, 1), mono(ib, 1)): 1,
+    }
+    sq = oq.tensor_square()
+    assert ho.coproduct(oq.gen("a")) == sq.normal_form([("a(1)", 1), ("a(2)", 1)])
 
 
 def test_coproduct_multiplicative(p11):
@@ -73,12 +76,48 @@ def test_hopf_axioms(mn_params):
         assert report.ok, (report.relation_failures, report.sample_failures[:3])
 
 
+def test_relation_check_catches_a_coproduct_that_is_no_algebra_map(mn_params):
+    """Delta(b) = b (x) b breaks a*b = q^n b*a under Delta."""
+    h = hopf_Oq(mn_params)
+    oq, sq = h.pres, h.pres.tensor_square()
+    bb = sq.normal_form([("b(1)", 1), ("b(2)", 1)])
+    mutant = replace(h, delta=Morphism(oq, sq, {**h.delta.images, "b": bb}))
+    assert ("delta", "b*a") in check_hopf_axioms(mutant, samples=0).relation_failures
+
+
+def test_relation_check_catches_an_antipode_that_is_no_anti_map(mn_params):
+    """S(b) = q^5 b^2 breaks a*b = q^n b*a: b^2 passes S(a) = a^-1 with q^(2n)."""
+    h = hopf_Oq(mn_params)
+    oq = h.pres
+    mutant = replace(h, s_images={**h.s_images, "b": oq.gen("b", 2).scale(qpow(5))})
+    assert check_hopf_axioms(mutant, samples=0).relation_failures == [("antipode", "b*a")]
+
+
+def test_rescaled_antipode_fails_only_the_antipode_law(mn_params):
+    """S(b) = q^5 b is still an anti-map: every relation of Oq is
+    homogeneous in each generator, so no relation sees a rescaled image.
+    The law m(S (x) id)Delta = eps does."""
+    h = hopf_Oq(mn_params)
+    oq = h.pres
+    mutant = replace(h, s_images={**h.s_images, "b": oq.gen("b").scale(qpow(5))})
+    report = check_hopf_axioms(mutant, samples=30, seed=5)
+    assert not report.relation_failures
+    assert {law for _, law in report.sample_failures} == {"antipode"}
+
+
+def test_relation_check_catches_a_counit_that_is_no_algebra_map(mn_params):
+    """eps(b) = 1 breaks b*a = q^-n a*b, since eps(a) = 1 too."""
+    h = hopf_Oq(mn_params)
+    mutant = replace(h, group_like=h.group_like | {h.pres.index["b"]})
+    assert check_hopf_axioms(mutant, samples=0).relation_failures == [("counit", "b*a")]
+
+
 def test_antipode_law_on_b_explicit(mn_params):
     """m(S (x) id)Delta(b) collapses to zero, matching the hand rewrite."""
     ho = hopf_Oq(mn_params)
     oq = ho.pres
     total = oq.zero()
-    for (m1, m2), c in ho.coproduct(oq.gen("b")).terms.items():
+    for (m1, m2), c in ho.split_coproduct(oq.gen("b")).items():
         total = total + oq.multiply(ho.antipode(oq.monomial(m1)), oq.monomial(m2)).scale(c)
     assert not total
     n = mn_params.n
@@ -142,10 +181,14 @@ def test_pairing_peeling_order_independence(mn_params):
             return dp.hu.counit_mono(mu)
         if len(o_letters) == 1:
             return dp._pair_mono(mu, mx)
-        head = dp._mono_from_letters(o_letters[:1], len(mx))
-        rest = dp._mono_from_letters(o_letters[1:], len(mx))
+        head, rest = [0] * len(mx), [0] * len(mx)
+        i, e = o_letters[0]
+        head[i] = e
+        for i, e in o_letters[1:]:
+            rest[i] += e
+        head, rest = tuple(head), tuple(rest)
         total = ZERO
-        for (u1, u2), c in dp.hu._delta_mono(mu).terms.items():
+        for (u1, u2), c in dp.hu._delta_mono(mu).items():
             v = pair_o_first(u1, head)
             if v:
                 total = total + c * v * pair_o_first(u2, rest)
@@ -283,12 +326,16 @@ def test_pairing_laws_on_random_elements(mn_params):
     uq, oq = dp.uq, dp.oq
     rng = random.Random(71)
 
+    def outer(x, y):
+        """x (x) y as {(left, right): coeff}."""
+        return {(l, r): cl * cr for l, cl in x.terms.items() for r, cr in y.terms.items()}
+
     def pair_tensor(left, right):
         """sum c d <l1, r1> <l2, r2> over left = sum c l1 (x) l2 in Uq (x) Uq
         and right = sum d r1 (x) r2 in Oq (x) Oq."""
         total = ZERO
-        for (l1, l2), c in left.terms.items():
-            for (r1, r2), d in right.terms.items():
+        for (l1, l2), c in left.items():
+            for (r1, r2), d in right.items():
                 first = dp.pair(uq.monomial(l1), oq.monomial(r1))
                 total = total + c * d * first * dp.pair(uq.monomial(l2), oq.monomial(r2))
         return total
@@ -296,7 +343,7 @@ def test_pairing_laws_on_random_elements(mn_params):
     for _ in range(15):
         u, v = (random_element(uq, rng, max_degree=2, n_terms=2) for _ in range(2))
         x, y = (random_element(oq, rng, max_degree=2, n_terms=2) for _ in range(2))
-        uv = TensorElement.outer(u, v)
-        assert dp.pair(uq.multiply(u, v), x) == pair_tensor(uv, dp.ho.coproduct(x))
-        xy = TensorElement.outer(x, y)
-        assert dp.pair(u, oq.multiply(x, y)) == pair_tensor(dp.hu.coproduct(u), xy)
+        uv = outer(u, v)
+        assert dp.pair(uq.multiply(u, v), x) == pair_tensor(uv, dp.ho.split_coproduct(x))
+        xy = outer(x, y)
+        assert dp.pair(u, oq.multiply(x, y)) == pair_tensor(dp.hu.split_coproduct(u), xy)

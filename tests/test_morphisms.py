@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qheis.errors import ConstraintViolation, TypeMismatch
+from qheis.errors import ConstraintViolation, PresentationError, TypeMismatch
 from qheis.hopf import hopf_Oq, hopf_Uq
 from qheis.morphisms import (
     Morphism,
@@ -25,7 +25,7 @@ from qheis.morphisms import (
     zeta_Dq,
     zeta_Oq,
 )
-from qheis.presets import factorize_D, make_Dq, make_Oq, params, primed_in_D
+from qheis.presets import factorize_D, make_Dq, make_Oq, make_Uq, params, primed_in_D
 from qheis.qfield import ONE, QScalar, add_scaled, inverse, qpow
 from qheis.rewrite import Element, substitute
 from qheis.sampling import random_sl2
@@ -280,3 +280,9 @@ def test_split_model_maps_match_the_reference_extension(mn):
     for got, want in pairs:
         assert got == want
         assert repr(got) == repr(want)
+
+
+def test_image_from_another_presentation_rejected(p11):
+    oq, uq = make_Oq(p11), make_Uq(p11)
+    with pytest.raises(PresentationError):
+        Morphism(oq, oq, {"a": oq.gen("a"), "b": uq.gen("E"), "c": oq.gen("c")})

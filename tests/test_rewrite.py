@@ -11,7 +11,7 @@ from qheis.errors import (
 )
 from qheis.presets import S_ORDERS, make_Dq, make_Oq, make_S, make_Uq, params
 from qheis.qfield import ONE, qpow
-from qheis.rewrite import Presentation, RewriteRule
+from qheis.rewrite import Presentation, RewriteRule, substitute
 from qheis.sampling import random_element
 
 
@@ -148,11 +148,49 @@ def test_out_of_order_tail_word_rejected():
 
 
 def test_normal_form_idempotent(mn_params):
-    dq = make_Dq(mn_params)
+    """The normal form of a random word is the product of its letters, and
+    the word of each of its monomials reduces to that monomial."""
     rng = random.Random(17)
-    for _ in range(25):
-        x = random_element(dq, rng)
-        assert dq.normal_form(x) == x
+    for pres in (make_Dq(mn_params), make_S(mn_params)):
+        names = pres.table.names
+        letters = [(names[i], e) for i, e in pres.signed_letters()]
+        for _ in range(25):
+            word = [rng.choice(letters) for _ in range(rng.randint(2, 6))]
+            nf = pres.normal_form(word)
+            product = pres.one()
+            for g, e in word:
+                product = pres.multiply(product, pres.gen(g, e))
+            assert nf == product
+            for mono in nf.terms:
+                again = pres.normal_form([(names[i], e) for i, e in enumerate(mono) if e])
+                assert again == pres.monomial(mono)
+
+
+def test_tensor_square(p11):
+    """A (x) A is confluent, each copy multiplies as A does, and the two
+    copies commute; Dq checks that the tails of a copy land in that copy."""
+    rng = random.Random(31)
+    for pres in (make_Oq(p11), make_Dq(p11)):
+        sq = pres.tensor_square()
+        assert sq is pres.tensor_square()
+        assert sq.check_confluence().ok
+        copies = [
+            {g: sq.gen(f"{g}({k})") for g in pres.table.names} for k in (1, 2)
+        ]
+        for _ in range(10):
+            x, y = (random_element(pres, rng, max_degree=2, n_terms=2) for _ in range(2))
+            for c in copies:
+                assert substitute(pres.multiply(x, y), c, sq) == sq.multiply(
+                    substitute(x, c, sq), substitute(y, c, sq)
+                )
+            x1, y2 = substitute(x, copies[0], sq), substitute(y, copies[1], sq)
+            assert sq.multiply(x1, y2) == sq.multiply(y2, x1)
+
+
+def test_normal_form_rejects_an_element_of_other_generators(p11):
+    uq = make_Uq(p11)
+    with pytest.raises(PresentationError):
+        make_Oq(p11).normal_form(uq.gen("E") * uq.gen("K"))
 
 
 def test_strategy_independence(mn_params):

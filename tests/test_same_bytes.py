@@ -50,6 +50,12 @@ CLI_DIGESTS = {
         "b48d56bc963df38007539662440f963e99326a070b0835da4a14c609c36e4039",
     "antipode --algebra Oq --m 2 --n 3 b^2*c*a^-1":
         "5f4ec739c3f98232eec5720f5acac2a9579fa60f4323cc6baa41f81cde76bcab",
+    # recorded from the code before the coproduct became an algebra map
+    # into the tensor square
+    "delta --algebra Oq --m 2 --n -3 b^2*c*a^-1":
+        "b3d76806ceae06564c6a45961b152270495aae5e472ae2d1fc9256eb0b75e734",
+    "antipode --algebra Uq --m -2 --n 3 E*F^2*K^-1":
+        "a46c60f672bc9d197d081c0d3e7a1e49a3877c796d6f6fbff087d8ee89a0d707",
     "counit --algebra Uq K^3+E":
         "16c3c8092bdde42d9e7cbe07a0120dfef7f3d279efe86032614cdf2c905a048d",
     "smash --m 2 --n -3":
