@@ -36,6 +36,7 @@ class HopfStructure:
     s_images: dict
     group_like: frozenset
     _halves: dict = field(default_factory=dict, init=False, repr=False)
+    _monos: dict = field(default_factory=dict, init=False, repr=False)
     _s_pow: dict = field(default_factory=dict, init=False, repr=False)
 
     def coproduct(self, x: Element) -> Element:
@@ -52,12 +53,17 @@ class HopfStructure:
     def _delta_mono(self, mono) -> dict:
         """Delta of one monomial of A, split in the middle of the exponent
         vectors of A (x) A (the first half is the first tensor factor) and
-        kept, since the pairing asks for the same monomials again and again."""
+        kept, since the pairing asks for the same monomials again and again.
+        The structure lives as long as A, so each distinct half is one
+        tuple, shared through `_monos`."""
         halves = self._halves.get(mono)
         if halves is None:
             k = len(mono)
-            image = self.coproduct(self.pres.monomial(mono))
-            halves = {(t[:k], t[k:]): c for t, c in image.terms.items()}
+            monos = self._monos
+            halves = {}
+            for t, c in self.coproduct(self.pres.monomial(mono)).terms.items():
+                left, right = t[:k], t[k:]
+                halves[monos.setdefault(left, left), monos.setdefault(right, right)] = c
             self._halves[mono] = halves
         return halves
 
@@ -78,21 +84,25 @@ class HopfStructure:
 def _hopf(pres: Presentation, group_like, delta: dict, antipode: dict) -> HopfStructure:
     """The Hopf structure with the given generator images of Delta and S;
     Delta sends each generator g named in `group_like` to g (x) g, and S
-    sends it to g^-1."""
+    sends it to g^-1.  It is kept on `pres` beside its tensor square, so
+    that every caller shares its memo of monomial coproducts."""
     square = pres.tensor_square()
     for g in group_like:
         delta[g] = square.normal_form([(f"{g}(1)", 1), (f"{g}(2)", 1)])
         antipode[g] = pres.gen(g, -1)
-    return HopfStructure(
+    pres._hopf = HopfStructure(
         pres,
         Morphism(pres, square, delta, name="delta"),
         antipode,
         frozenset(pres.index[g] for g in group_like),
     )
+    return pres._hopf
 
 
 def hopf_Oq(p: AlgebraParams) -> HopfStructure:
     oq = make_Oq(p)
+    if oq._hopf is not None:
+        return oq._hopf
     tensor = oq.tensor_square().normal_form
     m, n = p.m, p.n
     delta = {
@@ -108,6 +118,8 @@ def hopf_Oq(p: AlgebraParams) -> HopfStructure:
 
 def hopf_Uq(p: AlgebraParams) -> HopfStructure:
     uq = make_Uq(p)
+    if uq._hopf is not None:
+        return uq._hopf
     tensor = uq.tensor_square().normal_form
     m, n = p.m, p.n
     delta = {

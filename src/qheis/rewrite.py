@@ -15,6 +15,10 @@ of tail rules in a pending map from word to coefficient, so equal words
 merge before they are reduced.  Pending words are reduced in decreasing
 (degree, inversions), a pair every rewrite lowers, so each distinct word is
 reduced once (Bergman, The diamond lemma for ring theory, Adv. Math. 1978).
+A tail rule whose descent is a block g^a*h^b with a, b >= 2 rewrites the
+whole block at once: its normal form (for the q-Weyl pairs, the expansion
+of Kassel, Quantum Groups, GTM 155, ch. IV) is reduced one letter at a time
+once per presentation and then spliced in wherever the block recurs.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ from .errors import (
     UnknownGenerator,
 )
 from .qfield import ONE, add_scaled, evaluate, inverse, scalar_is_negative, scalar_is_simple
+
+# a presentation's table of block normal forms is emptied when it reaches
+# this many entries, so that it cannot grow without limit (the entry for
+# Dq's E^16*c^16 at (m, n) = (2, 3) takes about 200 KB)
+_BLOCKS_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -149,7 +158,9 @@ class Presentation:
                     )
         self.rules = dict(rules)
         self._pair_cache = {}
+        self._blocks = {}
         self._square = None
+        self._hopf = None  # the HopfStructure of hopf.py, built at most once
         self._unit = tuple([0] * n)
         self._debug = bool(os.environ.get("QHEIS_DEBUG"))
         for rule in self.rules.values():
@@ -330,6 +341,16 @@ class Presentation:
             mono[g] = e
         add_scaled(out, {tuple(mono): c})
 
+    def _block(self, g, a, h, b):
+        """Normal form of g^a*h^b as (word, coeff) pairs, reduced once one
+        letter at a time (strategy "right" reads no blocks) and kept."""
+        nf = self._reduce(1, [(g, a), (h, b)], "right")
+        if len(self._blocks) >= _BLOCKS_CAP:
+            self._blocks.clear()
+        block = [(self._word_of_mono(m), c) for m, c in nf.items()]
+        self._blocks[(g, a, h, b)] = block
+        return block
+
     def _reduce(self, coeff, word, strategy="left"):
         """Reduce coeff*word to a {monomial: coeff} map.
 
@@ -344,13 +365,16 @@ class Presentation:
         nothing else pending would be taken next anyway, so it stays the
         current word: the map and the heap are made only when two words
         wait at once.  `strategy` ("left", "right" or an RNG) picks the
-        descent rewritten at each step.
+        descent rewritten at each step.  Only "left" splices in the normal
+        forms of blocks g^a*h^b with a, b >= 2; the others peel one letter
+        at a time, so comparing strategies compares the two routes.
         """
         out = {}
         rules = self.rules
         merged = self._merged
         descent = self._descent
         debug = self._debug
+        blocks = self._blocks if strategy == "left" else None
         pending = heap = None
         c, w = coeff, merged(word)
         while True:
@@ -370,25 +394,34 @@ class Presentation:
                             "termination measure failed to decrease"
                         )
                     continue
-                # tails only occur between non-invertible generators,
-                # so a, b >= 1 and a single-letter peel is enough
+                # tails only occur between non-invertible generators, so
+                # a, b >= 1.  A block needs a, b >= 2, so a product with a
+                # single letter never forms one (tails in S are constants,
+                # tail letters in Dq invertible) and keeps the term order
+                # of one-letter rewriting, which certificates follow
                 if a < 1 or b < 1:
                     raise PresentationError(
                         "tail rule on a negative power: "
                         f"{self.table.names[g]}^{a}*{self.table.names[h]}^{b}"
                     )
                 head, rest = w[:pos], w[pos + 2:]
-                branches = [
-                    (
-                        c * rule.swap,
-                        merged(head + [(g, a - 1), (h, 1), (g, 1), (h, b - 1)] + rest),
-                    )
-                ]
-                for tmono, tc in rule.tail:
-                    tw = self._word_of_mono(tmono)
-                    branches.append(
-                        (c * tc, merged(head + [(g, a - 1)] + tw + [(h, b - 1)] + rest))
-                    )
+                if blocks is not None and a > 1 and b > 1:
+                    block = blocks.get((g, a, h, b))
+                    if block is None:
+                        block = self._block(g, a, h, b)
+                    branches = [(c * bc, merged(head + bw + rest)) for bw, bc in block]
+                else:
+                    branches = [
+                        (
+                            c * rule.swap,
+                            merged(head + [(g, a - 1), (h, 1), (g, 1), (h, b - 1)] + rest),
+                        )
+                    ]
+                    for tmono, tc in rule.tail:
+                        tw = self._word_of_mono(tmono)
+                        branches.append(
+                            (c * tc, merged(head + [(g, a - 1)] + tw + [(h, b - 1)] + rest))
+                        )
                 live = []
                 for bc, bw in branches:
                     if debug:

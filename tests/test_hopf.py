@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from qheis.hopf import DualPairing, check_hopf_axioms, hopf_Oq, hopf_Uq
+from qheis.hopf import DualPairing, HopfStructure, check_hopf_axioms, hopf_Oq, hopf_Uq
 from qheis.morphisms import Morphism
-from qheis.presets import make_Dq, make_Oq, params
+from qheis.presets import make_Dq, make_Oq, make_Uq, params
 from qheis.qfield import ONE, ZERO, qpow
 from qheis.sampling import random_element
+from qheis.suites import RunConfig, run_suites
 
 
 def test_coproduct_generators(p11):
@@ -347,3 +348,28 @@ def test_pairing_laws_on_random_elements(mn_params):
         assert dp.pair(uq.multiply(u, v), x) == pair_tensor(uv, dp.ho.split_coproduct(x))
         xy = outer(x, y)
         assert dp.pair(u, oq.multiply(x, y)) == pair_tensor(dp.hu.split_coproduct(u), xy)
+
+
+def test_one_hopf_structure_per_presentation(monkeypatch):
+    """Suites hopf, pairing-action, smash and aut share one Hopf structure
+    of Oq and one of Uq at (2, 3), so each monomial coproduct is computed
+    once: with a new structure per call they computed 190 and 91 for 126
+    and 66 distinct monomials."""
+    make_Oq.cache_clear()
+    make_Uq.cache_clear()
+    computed = {}
+    delta_mono = HopfStructure._delta_mono
+
+    def counted(self, mono):
+        if mono not in self._halves:
+            key = "Oq" if "a" in self.pres.index else "Uq"
+            computed[key] = computed.get(key, 0) + 1
+        return delta_mono(self, mono)
+
+    monkeypatch.setattr(HopfStructure, "_delta_mono", counted)
+    _, ok = run_suites(["hopf", "pairing-action", "smash", "aut"], RunConfig(m=2, n=3, seed=1))
+    assert ok
+    p = params(2, 3)
+    assert hopf_Oq(p) is hopf_Oq(p) and hopf_Uq(p) is hopf_Uq(p)
+    assert computed == {"Oq": 126, "Uq": 66}
+    assert len(hopf_Oq(p)._halves) == 126 and len(hopf_Uq(p)._halves) == 66

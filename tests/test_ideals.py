@@ -557,3 +557,18 @@ def test_echelon_reduce_cancels_some_keys_and_keeps_others():
         _typed([(1, Fraction(17, 3)), (-1, 5), (0, QScalar(-8))]),
         _typed([(4, 5)]),
     )
+
+
+def test_catalog_diagram_and_certificate_form_no_block():
+    """Spans multiply monomials by single letters and a certificate replays
+    such products, so no tail rule meets a block g^a*h^b with a, b >= 2 and
+    the block table of the presentation stays empty."""
+    p = params(1, 1)
+    spres = make_S.__wrapped__(p)
+    cat = build_spec_catalog(p, degree_bound=6, z_samples=(QScalar(7),), spres=spres)
+    spec_diagram(cat)
+    phi1, _ = phi_elements(spres)
+    ideal = cat.ideals["I1"]
+    cert = ideal.certificate(spres.gen("bp") * phi1 * spres.gen("Fp"))
+    assert cert is not None
+    assert spres._blocks == {}

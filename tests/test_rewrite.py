@@ -1,9 +1,11 @@
 """Normal-form engine: reduction, confluence, termination, associativity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+import qheis.rewrite
 from qheis.errors import (
     NegativePowerOfNonInvertible,
     PresentationError,
@@ -331,3 +333,136 @@ def test_debug_measure_assertion_negative_control(p11, monkeypatch):
     for word in (swap_word, tail_word):
         with pytest.raises(AssertionError, match="termination measure"):
             dq._reduce(1, word)
+
+
+# ---------------------------------------------------------------------------
+# tail rules on whole blocks: g^a*h^b spliced in from the block table
+
+
+def _block_presentations(p, q0):
+    press = [make_Dq(p)] + [make_S(p, order) for order in S_ORDERS.values()]
+    if q0 is not None:
+        press = [pres.specialize(q0) for pres in press]
+    return press
+
+
+def _random_block_word(pres, rng):
+    """3-8 letters with exponents 1-4; an invertible letter is inverted
+    half the time."""
+    names, invertible = pres.table.names, pres.table.invertible
+    word = []
+    for _ in range(rng.randint(3, 8)):
+        i = rng.randrange(len(names))
+        e = rng.randint(1, 4)
+        if invertible[i] and rng.random() < 0.5:
+            e = -e
+        word.append((names[i], e))
+    return word
+
+
+def _letter_product(pres, word):
+    """The word multiplied one letter at a time on a copy of `pres` with
+    empty caches: a single letter never forms a block, so no block table
+    takes part."""
+    fresh = pres.map_scalars(lambda s: s)
+    acc = fresh.one()
+    for name, e in word:
+        letter = fresh.gen(name, 1 if e > 0 else -1)
+        for _ in range(abs(e)):
+            acc = fresh.multiply(acc, letter)
+    assert not fresh._blocks
+    return acc.terms
+
+
+def _block_mismatches(pres, words):
+    """The words whose normal form differs from the right-strategy one or
+    from the letter-by-letter product."""
+    bad = []
+    for word in words:
+        left = pres.normal_form(word).terms
+        if left != pres.normal_form(word, "right").terms or left != _letter_product(pres, word):
+            bad.append(word)
+    return bad
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "q3/2"])
+@pytest.mark.parametrize("mn", [(1, 1), (2, -3), (-1, 2)], ids=lambda mn: f"m{mn[0]}n{mn[1]}")
+def test_spliced_blocks_match_one_letter_rewriting(mn, q0):
+    """Random words over Dq and S in all four orders: the left strategy,
+    which splices in whole blocks, agrees with the right strategy and with
+    the product of the letters, which peel one letter at a time."""
+    rng = random.Random(59)
+    spliced = 0
+    for pres in _block_presentations(params(*mn), q0):
+        words = [_random_block_word(pres, rng) for _ in range(10)]
+        assert _block_mismatches(pres, words) == []
+        spliced += len(pres._blocks)
+    assert spliced
+
+
+def test_rescaled_block_entry_fails_the_differential_check(p11):
+    """One coefficient of one kept block, doubled, must show as a mismatch."""
+    dq = make_Dq(p11).map_scalars(lambda s: s)
+    rng = random.Random(59)
+    words = [_random_block_word(dq, rng) for _ in range(10)] + [[("E", 2), ("c", 2)]]
+    assert _block_mismatches(dq, words) == []
+    key = next(iter(dq._blocks))
+    block = dq._blocks[key]
+    (word, c), *rest = block
+    dq._blocks[key] = [(word, 2 * c), *rest]
+    assert _block_mismatches(dq, words)
+
+
+def test_right_strategy_reads_no_block(p11):
+    class Unreadable(dict):
+        def get(self, key, default=None):
+            raise AssertionError("block table read")
+
+    for pres in _block_presentations(p11, None):
+        pres = pres.map_scalars(lambda s: s)
+        pres._blocks = Unreadable()
+        names = pres.table.names
+        word = [(names[-1], 3), (names[0], 3), (names[-1], 2), (names[1], 2)]
+        right = pres.normal_form(word, "right")
+        assert pres.normal_form(word, random.Random(3)) == right
+        with pytest.raises(AssertionError, match="block table read"):
+            pres.normal_form(word)
+
+
+def test_block_table_is_bounded(p11, monkeypatch):
+    """Filled past its cap the table empties and starts again, and the
+    normal forms stay those of an unbounded table."""
+    words = [[("E", a), ("c", b), ("F", a), ("b", b)] for a in range(2, 5) for b in range(2, 5)]
+    unbounded = make_Dq(p11).map_scalars(lambda s: s)
+    expected = [unbounded.normal_form(w) for w in words]
+    assert len(unbounded._blocks) > 4
+    monkeypatch.setattr(qheis.rewrite, "_BLOCKS_CAP", 4)
+    dq = make_Dq(p11).map_scalars(lambda s: s)
+    got = []
+    for w in words:
+        got.append(dq.normal_form(w))
+        assert 0 < len(dq._blocks) <= 4
+    assert got == expected
+
+
+def test_debug_measure_assertion_on_spliced_blocks(p11, monkeypatch):
+    """With QHEIS_DEBUG set every spliced branch must lower the termination
+    measure; a measure that never decreases fails on a splice."""
+    base_dq, base_s = make_Dq(p11), make_S(p11, S_ORDERS["J1"])
+    monkeypatch.setenv("QHEIS_DEBUG", "1")
+    dq = Presentation(base_dq.table, base_dq.rules)
+    s = Presentation(base_s.table, base_s.rules)
+    assert dq._debug and s._debug
+    cases = [
+        (dq, base_dq, [("E", 5), ("c", 5), ("F", 4), ("b", 4)]),
+        (s, base_s, [("cp", 5), ("bp", 5), ("Fp", 5), ("Ep", 5)]),
+    ]
+    for pres, base, word in cases:
+        assert pres.normal_form(word) == base.normal_form(word, "right")
+        assert pres._blocks
+    i = dq.index
+    block_word = [(i["E"], 5), (i["c"], 5)]
+    assert (i["E"], 5, i["c"], 5) in dq._blocks
+    monkeypatch.setattr(dq, "_measure", lambda word: (0, 0, 0))
+    with pytest.raises(AssertionError, match="termination measure"):
+        dq._reduce(1, block_word)
