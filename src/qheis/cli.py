@@ -34,16 +34,13 @@ from .suites import RunConfig, SUITE_NAMES, run_suites
 
 def _element_json(el: Element):
     pres = el.pres
-    terms = []
-    for mono in sorted(el.terms, key=pres.term_sort_key):
-        entry = {
-            "coeff": str(el.terms[mono]),
-            "mono": {
-                pres.table.names[i]: e for i, e in enumerate(mono) if e
-            },
-        }
-        terms.append(entry)
-    return {"terms": terms, "text": pres.render_element(el)}
+    coeffs = []
+    text = pres.render_element(el, coeffs)
+    terms = [
+        {"coeff": ctext, "mono": {pres.table.names[i]: e for i, e in enumerate(mono) if e}}
+        for mono, ctext in coeffs
+    ]
+    return {"terms": terms, "text": text}
 
 
 def _tensor_json(pres, halves):

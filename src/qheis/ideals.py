@@ -5,7 +5,12 @@ torus quotient of S by both commutator ideals.
 Spans are exact linear subspaces: starting from the generators, the span
 is closed under left and right multiplication by generators as long as the
 product stays inside the degree-bound filtration, with a deterministic
-row-echelon basis.  Membership is a semi-decision: Verified is a true
+row-echelon basis.  That span is the least subspace holding the generators
+and closed under those products, whatever the order of insertion, so a span
+can grow from a closed one: `extend` shares its rows and closes only the
+pivots the new generators add.  The catalog grows I3 and J2(z) from I1 and
+J1(z) from I2, so I1 in I3, I1 in J2(z) and I2 in J1(z) hold by
+construction.  Membership is a semi-decision: Verified is a true
 certificate, NotDetected only means not found at this bound.
 """
 
@@ -87,22 +92,48 @@ class Echelon:
         self.order.append(lead)
         return lead, lc
 
+    def copy(self):
+        """An echelon with the same rows, pivot order and key memo.  The row
+        dicts are shared: a row never changes after its insert."""
+        new = type(self)(self.key)
+        new.rows = dict(self.rows)
+        new.order = list(self.order)
+        new._keys = dict(self._keys)
+        return new
+
 
 class TruncatedIdeal:
-    """Row-echelon span of a two-sided (or left) ideal inside a degree bound."""
+    """Row-echelon span of a two-sided (or left) ideal inside a degree bound.
 
-    def __init__(self, spres: Presentation, generators, side, degree_bound):
+    With a `base` span of the same presentation, side and bound, the new
+    span starts from the base's closed rows and closes only the pivots
+    that `generators` add; its generators are the base's, then these."""
+
+    def __init__(self, spres: Presentation, generators, side, degree_bound, base=None):
+        if base is not None and (
+            base.spres is not spres or (base.side, base.degree_bound) != (side, degree_bound)
+        ):
+            raise BoundMismatch(
+                "an extension needs the presentation, side and degree bound of its base"
+            )
         self.spres = spres
-        self.generators = [spres.normal_form(g) for g in generators]
+        new = [spres.normal_form(g) for g in generators]
+        self.generators = (base.generators if base else []) + new
         self.side = side
         self.degree_bound = degree_bound
-        self.echelon = Echelon(spres.term_key)
+        self.echelon = base.echelon.copy() if base else Echelon(spres.term_key)
         # provenance: pivot lead -> (move, lead coeff before normalization,
         # reduction steps at insert); a move is ("gen", idx) or
         # ("left"/"right", gen_index, parent_lead)
-        self._moves: dict = {}
+        self._moves: dict = dict(base._moves) if base else {}
         self._combos = None
-        self._build()
+        self._build(len(self.generators) - len(new))
+
+    def extend(self, generators) -> TruncatedIdeal:
+        """The span of this ideal's generators and `generators`, grown from
+        this closed span: the least subspace closed under the products
+        within the bound does not depend on the order of insertion."""
+        return type(self)(self.spres, generators, self.side, self.degree_bound, base=self)
 
     def _insert(self, terms, move):
         steps = []
@@ -113,22 +144,29 @@ class TruncatedIdeal:
         self._moves[lead] = (move, lc, tuple(steps))
         return lead
 
-    def _build(self):
-        if not self.generators:
-            return
+    def _build(self, first):
+        """Insert the generators from index `first` on and close the pivots
+        they create; the earlier pivots are closed already."""
         D = self.degree_bound
-        for g in self.generators:
+        new = self.generators[first:]
+        for g in new:
             if g and g.degree() > D:
                 raise DegreeTooSmall(
                     f"degree bound {D} is below a generator of degree {g.degree()}"
                 )
         queue = []
-        for idx, g in enumerate(self.generators):
+        for idx, g in enumerate(new, first):
             if not g:
                 continue
             lead = self._insert(g.terms, ("gen", idx))
             if lead is not None:
                 queue.append(lead)
+        self._close(queue)
+
+    def _close(self, queue):
+        """Insert every product of a queued pivot with a generator inside
+        the bound, queueing the pivots that creates, until none is left."""
+        D = self.degree_bound
         sides = ("left",) if self.side == "left" else ("left", "right")
         spres = self.spres
         table = spres.table
@@ -345,10 +383,17 @@ def build_spec_catalog(
     if z_samples is None:
         z_samples = (ONE, qpow(1), QScalar(-2))
     spres = spres or make_S(p)
-    ideals = {
-        name: ideal_span(spres, gens, degree_bound=degree_bound)
-        for name, gens in catalog_generators(spres, p, z_samples).items()
-    }
+    gens = catalog_generators(spres, p, z_samples)
+    ideals = {}
+    for name, g in gens.items():
+        # I3 = (phi1, phi2) and J2(z) = (phi1, g2) grow from the closed span
+        # of I1, J1(z) = (g1, phi2) from that of I2, base generators first
+        if name == "I3" or name.startswith("J2("):
+            ideals[name] = ideals["I1"].extend(g[1:])
+        elif name.startswith("J1("):
+            ideals[name] = ideals["I2"].extend(g[:1])
+        else:
+            ideals[name] = ideal_span(spres, g, degree_bound=degree_bound)
     return SpecCatalog(p, degree_bound, tuple(z_samples), spres, ideals)
 
 

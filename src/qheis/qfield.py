@@ -39,12 +39,15 @@ def _pneg(a):
 
 
 def _pmul(a, b):
+    """Schoolbook product over the nonzero slots of both operands: S
+    scalars are polynomials in q^(2d^2), so most slots are zero."""
     if not a or not b:
         return ()
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in nonzero:
                 out[i + j] += x * y
     return _trim(out)
 
@@ -144,8 +147,9 @@ def _peval(a, q0: Fraction) -> Fraction:
     return acc
 
 
-def _poly_text(coeffs, shift=0):
-    """Render sum of c*q^k terms; exponents run from `shift` upward."""
+def _poly_parts(coeffs, shift=0):
+    """Signed terms [(sign, body), ...] of sum c*q^k; exponents run from
+    `shift` upward."""
     parts = []
     for i, c in enumerate(coeffs):
         if c == 0:
@@ -159,12 +163,18 @@ def _poly_text(coeffs, shift=0):
         else:
             body = f"{mag}*q" if k == 1 else f"{mag}*q^{k}"
         parts.append(("-" if c < 0 else "+", body))
+    return parts
+
+
+def _join_parts(parts, flip=False):
+    """Text of signed terms, every sign reversed with `flip`."""
     if not parts:
         return "0"
+    signs = {"+": "-", "-": "+"} if flip else {"+": "+", "-": "-"}
     sign0, body0 = parts[0]
-    text = ("-" if sign0 == "-" else "") + body0
+    text = ("-" if signs[sign0] == "-" else "") + body0
     for sign, body in parts[1:]:
-        text += f" {sign} {body}"
+        text += f" {signs[sign]} {body}"
     return text
 
 
@@ -365,17 +375,23 @@ class QScalar:
         return q0**self.shift * _peval(self.num, q0) / dv
 
     def __str__(self):
+        return self._texts()[0]
+
+    def _texts(self):
+        """(str(self), str(-self)), each polynomial rendered once."""
         if not self.num:
-            return "0"
-        num_terms = sum(1 for c in self.num if c)
-        numtext = _poly_text(self.num, self.shift)
+            return "0", "0"
+        parts = _poly_parts(self.num, self.shift)
+        texts = (_join_parts(parts), _join_parts(parts, flip=True))
         if self.den == (1,):
-            return numtext
-        dentext = _poly_text(self.den)
-        left = numtext if num_terms == 1 else f"({numtext})"
-        den_terms = sum(1 for c in self.den if c)
-        right = dentext if den_terms == 1 else f"({dentext})"
-        return f"{left}/{right}"
+            return texts
+        den_parts = _poly_parts(self.den)
+        right = _join_parts(den_parts)
+        if len(den_parts) > 1:
+            right = f"({right})"
+        if len(parts) > 1:
+            texts = tuple(f"({t})" for t in texts)
+        return tuple(f"{t}/{right}" for t in texts)
 
     def __repr__(self):
         return f"QScalar({self})"
@@ -479,6 +495,11 @@ def inverse(c):
     if isinstance(c, QScalar):
         return c.inv()
     return Fraction(1) / c
+
+
+def signed_texts(c):
+    """(str(c), str(-c)); a QScalar renders its polynomials once."""
+    return c._texts() if isinstance(c, QScalar) else (str(c), str(-c))
 
 
 def scalar_is_negative(c) -> bool:

@@ -34,7 +34,8 @@ from .errors import (
     PresentationError,
     UnknownGenerator,
 )
-from .qfield import ONE, add_scaled, evaluate, inverse, scalar_is_negative, scalar_is_simple
+from .qfield import ONE, add_scaled, evaluate, inverse, signed_texts
+from .qfield import scalar_is_negative, scalar_is_simple
 
 # a presentation's table of block normal forms is emptied when it reaches
 # this many entries, so that it cannot grow without limit (the entry for
@@ -577,26 +578,24 @@ class Presentation:
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
 
-    def render_element(self, x: Element) -> str:
+    def render_element(self, x: Element, coeffs=None) -> str:
+        """Text of x, term by term in sort order; each (mono, text of its
+        coefficient) is appended to the list `coeffs` when one is given."""
         if not x.terms:
             return "0"
         chunks = []
         for mono in sorted(x.terms, key=self.term_sort_key):
             c = x.terms[mono]
             neg = scalar_is_negative(c)
-            body_coeff = -c if neg else c
+            ctext, negtext = signed_texts(c)
+            if coeffs is not None:
+                coeffs.append((mono, ctext))
+            body = negtext if neg else ctext
             mtext = self.render_monomial(mono)
-            if not mtext:
-                body = str(body_coeff)
-                if not scalar_is_simple(body_coeff):
-                    body = f"({body})"
-            elif body_coeff == 1:
-                body = mtext
-            else:
-                ctext = str(body_coeff)
-                if not scalar_is_simple(body_coeff):
-                    ctext = f"({ctext})"
-                body = f"{ctext}*{mtext}"
+            if not scalar_is_simple(c):
+                body = f"({body})"
+            if mtext:
+                body = mtext if c == (-1 if neg else 1) else f"{body}*{mtext}"
             chunks.append(("-" if neg else "+", body))
         sign0, body0 = chunks[0]
         text = ("-" if sign0 == "-" else "") + body0

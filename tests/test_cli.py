@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from qheis import qfield
 from qheis.cli import _dispatch, build_parser, main
 
 
@@ -28,6 +29,25 @@ def test_nf_smash_relation():
         {"coeff": "1", "mono": {"E": 1, "c": 1}},
         {"coeff": "q^-1", "mono": {"K": 1, "a": -1}},
     ]
+
+
+def test_nf_renders_each_coefficient_once(monkeypatch):
+    """36 terms, 18 of them with a negative coefficient: the JSON `coeff`
+    and the `text` share one rendering of each coefficient, where
+    rendering them apart took 71."""
+    calls = []
+    parts = qfield._poly_parts
+
+    def counted(*args):
+        calls.append(args)
+        return parts(*args)
+
+    monkeypatch.setattr(qfield, "_poly_parts", counted)
+    code, out = run_cli(["nf", "--algebra", "S", "--m", "2", "--n", "2", "cp^5*bp^5*Fp^5*Ep^5"])
+    (rec,) = lines_of(out)
+    assert code == 0 and len(rec["terms"]) == 36
+    assert sum(t["coeff"].startswith("-") for t in rec["terms"]) == 18
+    assert 0 < len(calls) <= 36
 
 
 def test_pair_value():

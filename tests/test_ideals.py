@@ -13,6 +13,7 @@ from qheis.ideals import (
     Echelon,
     TruncatedIdeal,
     build_spec_catalog,
+    catalog_generators,
     containment_probe,
     ideal_span,
     member,
@@ -250,24 +251,11 @@ def test_certificate_replays_every_basis_element(mn):
 class ReferenceIdeal(TruncatedIdeal):
     """The span grown as it was before products past the degree bound were
     skipped: every queued row times every generator on each side, and each
-    product above the bound thrown away after it was computed."""
+    product above the bound thrown away after it was computed.  An
+    extension of a ReferenceIdeal is closed the same way."""
 
-    def _build(self):
-        if not self.generators:
-            return
+    def _close(self, queue):
         D = self.degree_bound
-        for g in self.generators:
-            if g and g.degree() > D:
-                raise DegreeTooSmall(
-                    f"degree bound {D} is below a generator of degree {g.degree()}"
-                )
-        queue = []
-        for idx, g in enumerate(self.generators):
-            if not g:
-                continue
-            lead = self._insert(g.terms, ("gen", idx))
-            if lead is not None:
-                queue.append(lead)
         sides = ("left",) if self.side == "left" else ("left", "right")
         gens = [self.spres.gen(name) for name in self.spres.table.names]
         pos = 0
@@ -300,13 +288,18 @@ def _assert_same_span(ideal, ref):
 
 @pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "q0"])
 @pytest.mark.parametrize("mn", [(1, 1), (2, -3)])
-def test_span_skip_matches_full_closure_on_catalog(mn, q0):
+def test_span_skip_matches_full_closure_on_catalog(monkeypatch, mn, q0):
+    """The catalog against the same catalog of ReferenceIdeals, whose
+    I3, J1(z) and J2(z) are extensions of reference I1 and I2."""
     p = params(*mn)
     spres = make_S(p) if q0 is None else make_S(p).specialize(q0)
     z = QScalar(-2) if q0 is None else Fraction(-2)
     cat = build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
+    monkeypatch.setattr(qheis.ideals, "TruncatedIdeal", ReferenceIdeal)
+    ref_cat = build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
     for name, ideal in cat.ideals.items():
-        ref = ReferenceIdeal(spres, ideal.generators, ideal.side, 6)
+        ref = ref_cat.ideals[name]
+        assert isinstance(ref, ReferenceIdeal)
         assert ideal.dimension == ref.dimension, name
         _assert_same_span(ideal, ref)
 
@@ -321,15 +314,26 @@ def _random_element(rng, s, max_degree):
     return s.normal_form(Element(s, terms))
 
 
+def _random_term(rng, s, max_degree):
+    mono = [0] * len(s.table.names)
+    for _ in range(rng.randint(0, max_degree)):
+        mono[rng.randrange(len(mono))] += 1
+    return s.monomial(tuple(mono)).scale(rng.choice([ONE, QScalar(-3), qpow(2)]))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_span_skip_matches_full_closure_on_random_generators(seed):
     rng = random.Random(seed)
     s = make_S(params(*[(1, 1), (2, -3), (1, -1), (2, 3)][seed]))
     gens = [_random_element(rng, s, 2) for _ in range(rng.randint(1, 2))]
+    # one term: with a third generic element the left span at (2, 3)
+    # swells in its coefficients and runs for minutes, from scratch too
+    more = [_random_term(rng, s, 2)]
     for side in ("left", "twoSided"):
         ideal = ideal_span(s, gens, side=side, degree_bound=4)
         ref = ReferenceIdeal(s, ideal.generators, side, 4)
         _assert_same_span(ideal, ref)
+        _assert_same_span(ideal.extend(more), ref.extend(more))
 
 
 def test_span_keeps_products_that_lower_the_degree():
@@ -371,7 +375,9 @@ def test_catalog_work_counts(monkeypatch):
     presentation so that every reduction misses the pair cache.  The full
     closure took 4,128 products and 51,446 canonicalizations, and
     subtracting every row update (zeros included) and multiplying by the
-    int 1 took 17,695 canonicalizations."""
+    int 1 took 17,695 canonicalizations.  Building all six ideals from
+    scratch, without growing I3, J1(z) and J2(z) from I1 and I2, took
+    2,128 products and 4,078 canonicalizations."""
     p = params(1, 1)
     spres = make_S.__wrapped__(p)
     z = QScalar(7)
@@ -379,7 +385,7 @@ def test_catalog_work_counts(monkeypatch):
     _count_calls(monkeypatch, Presentation, "multiply", counts)
     _count_calls(monkeypatch, qheis.qfield, "_canon", counts)
     build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
-    assert counts == {"multiply": 2128, "_canon": 4078}
+    assert counts == {"multiply": 1288, "_canon": 3051}
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +419,63 @@ def test_first_certificate_reuses_the_insert_steps(monkeypatch, fresh_cat11):
     cert = ideal.certificate(x)
     assert counts["multiply"] <= 83 and counts["reduce"] == 1
     assert ideal.replay_certificate(cert) == x
+
+
+# ---------------------------------------------------------------------------
+# spans grown from a closed span, against spans built from scratch
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "q0"])
+@pytest.mark.parametrize("deg", [6, 8])
+@pytest.mark.parametrize("mn", [(1, 1), (2, 3), (2, -3), (-1, 2), (3, 3)])
+def test_extended_catalog_ideals_match_spans_from_scratch(mn, deg, q0):
+    """I3, J1(z) and J2(z) grow from I1 or I2; each has the dimension of
+    the span of its catalog generators built from scratch, and each basis
+    lies in the other span."""
+    p = params(*mn)
+    spres = make_S(p) if q0 is None else make_S(p).specialize(q0)
+    z = QScalar(-2) if q0 is None else Fraction(-2)
+    cat = build_spec_catalog(p, degree_bound=deg, z_samples=(z,), spres=spres)
+    gens = catalog_generators(spres, p, (z,))
+    for name, base in (("I3", "I1"), ("J1(-2)", "I2"), ("J2(-2)", "I1")):
+        ideal = cat.ideals[name]
+        assert ideal.generators[0] == cat.ideals[base].generators[0], name
+        scratch = ideal_span(spres, gens[name], degree_bound=deg)
+        assert ideal.dimension == scratch.dimension, name
+        assert containment_probe(ideal, scratch).status == "Contained", name
+        assert containment_probe(scratch, ideal).status == "Contained", name
+
+
+def test_extension_needs_the_base_presentation_side_and_bound(p11):
+    s = make_S(p11)
+    phi1, phi2 = phi_elements(s)
+    base = ideal_span(s, [phi1], degree_bound=6)
+    for spres, side, bound in (
+        (make_S(params(2, 3)), "twoSided", 6),
+        (make_S.__wrapped__(p11), "twoSided", 6),
+        (s, "left", 6),
+        (s, "twoSided", 8),
+    ):
+        with pytest.raises(BoundMismatch):
+            TruncatedIdeal(spres, [phi2], side, bound, base=base)
+    assert base.extend([phi2]).dimension == 125
+
+
+def test_closing_i3_from_i1_takes_few_products(monkeypatch):
+    """The extension multiplies only the pivots that phi2 adds, each by at
+    most the four generators on two sides; I1 keeps its rows and I3 shares
+    them."""
+    s = make_S(params(2, 3))
+    phi1, phi2 = phi_elements(s)
+    i1 = ideal_span(s, [phi1], degree_bound=8)
+    rows = dict(i1.echelon.rows)
+    counts = {}
+    _count_calls(monkeypatch, Presentation, "multiply", counts)
+    i3 = i1.extend([phi2])
+    assert (i1.dimension, i3.dimension) == (210, 350)
+    assert 0 < counts["multiply"] <= 8 * (i3.dimension - i1.dimension)
+    assert i1.echelon.rows == rows and i3.echelon.order[:210] == i1.echelon.order
+    assert all(i3.echelon.rows[lead] is row for lead, row in rows.items())
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +524,13 @@ class LockstepEchelon:
     (lead, lead coefficient) and every new row must agree term by term,
     in order and in type."""
 
-    def __init__(self, key):
-        self.new, self.ref = Echelon(key), ReferenceEchelon(key)
+    def __init__(self, key, new=None, ref=None):
+        self.new = new or Echelon(key)
+        self.ref = ref or ReferenceEchelon(key)
         self.rows, self.order = self.new.rows, self.new.order
+
+    def copy(self):
+        return LockstepEchelon(None, self.new.copy(), self.ref.copy())
 
     def reduce(self, terms, steps=None):
         got_steps, ref_steps = [], []

@@ -284,6 +284,38 @@ def test_exact_division_undoes_the_product(a, b):
     assert qfield._padd(a, qfield._pneg(a)) == ()
 
 
+def _strided(coeffs, stride, offset):
+    """The polynomial with coefficient coeffs[i] at q^(offset + i*stride)."""
+    out = [0] * (offset + stride * len(coeffs))
+    for i, c in enumerate(coeffs):
+        out[offset + i * stride] = c
+    return tuple(out)
+
+
+_wide = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@_fast
+@given(
+    a=st.lists(_wide, max_size=12),
+    b=st.lists(_wide, max_size=12),
+    sa=st.integers(1, 9),
+    sb=st.integers(1, 9),
+    oa=st.integers(0, 3),
+    ob=st.integers(0, 3),
+)
+def test_pmul_matches_the_schoolbook_product(a, b, sa, sb, oa, ob):
+    """Operands of stride s (as S scalars, polynomials in q^(2d^2)), with
+    zero and negative entries, trailing zeros and coefficients wider than
+    64 bits, against the product over every pair of slots."""
+    a, b = _strided(a, sa, oa), _strided(b, sb, ob)
+    plain = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            plain[i + j] += x * y
+    assert qfield._pmul(a, b) == qfield._trim(plain)
+
+
 @pytest.mark.parametrize("a, b", [((1, 0, 1), (1, 1)), ((1, 1), (1, 2)), ((3,), (2,))])
 def test_inexact_division_raises(a, b):
     """1 + q^2 over 1 + q leaves a remainder, and 1 + q over 1 + 2q or 3
