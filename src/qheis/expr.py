@@ -256,6 +256,7 @@ def context_for(algebra: str, p: AlgebraParams, order_key="J1", q0=None) -> Cont
                 return el
             return Element(pres, {m: evaluate(c, q0) for m, c in el.terms.items()})
 
+        macros = {**ps.images, "phi1": ps.phi1, "phi2": ps.phi2}
         values = {
             "a": pres.gen("a"),
             "ai": pres.gen("a", -1),
@@ -265,12 +266,7 @@ def context_for(algebra: str, p: AlgebraParams, order_key="J1", q0=None) -> Cont
             "Ki": pres.gen("K", -1),
             "E": pres.gen("E"),
             "F": pres.gen("F"),
-            "bp": conv(ps.bP),
-            "cp": conv(ps.cP),
-            "Ep": conv(ps.eP),
-            "Fp": conv(ps.fP),
-            "phi1": conv(ps.phi1),
-            "phi2": conv(ps.phi2),
+            **{name: conv(el) for name, el in macros.items()},
         }
     elif algebra == "S":
         pres = maybe_specialize(make_S(p, S_ORDERS[order_key]))

@@ -34,15 +34,16 @@ class Morphism:
     _pow_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for gname in self.source.table.names:
+        names = self.source.table.names
+        for gname in names:
             if gname not in self.images:
                 raise UnknownGenerator(f"no image for generator {gname}")
-        for i, gname in enumerate(self.source.table.names):
-            img = self.target.normal_form(self.images[gname])
-            self.images[gname] = img
-            if self.source.table.invertible[i]:
+        # a dict of its own: the caller's images stay as they were given
+        self.images = {g: self.target.normal_form(self.images[g]) for g in names}
+        for gname, inv in zip(names, self.source.table.invertible):
+            if inv:
                 # must be a one-term monomial on invertible generators
-                self._pow_cache[(gname, -1)] = img.inverse_monomial()
+                self._pow_cache[(gname, -1)] = self.images[gname].inverse_monomial()
 
     def apply(self, x: Element) -> Element:
         return substitute(x, self.images, self.target, self._pow_cache)
@@ -168,17 +169,13 @@ def zeta_Oq(p: AlgebraParams, z, z1, z2) -> Morphism:
 # Dq families, extended through the torus (x) S factorization
 
 
-def _extend_torus_S_map(p: AlgebraParams, dq, K_img, a_img, s_images, name) -> Morphism:
+def _extend_torus_S_map(p: AlgebraParams, K_img, a_img, s_images, name) -> Morphism:
     """Dq -> D_split -> Dq: write each generator in the torus (x) S model, then
     send K, a to K_img, a_img and the primed generators to s_images (the
     primed elements of Dq by default)."""
-    ps = primed_in_D(p)
-    images = {"K": K_img, "a": a_img, "Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
-    images.update(s_images)
-    from_split = Morphism(make_D_split(p), dq, images)
-    # Morphism writes normal forms into its images, so copy the cached dict
-    to_split = Morphism(dq, make_D_split(p), dict(_unprimed_images(p)))
-    out = compose(from_split, to_split)
+    dq, split = make_Dq(p), make_D_split(p)
+    images = {"K": K_img, "a": a_img, **primed_in_D(p).images, **s_images}
+    out = compose(Morphism(split, dq, images), Morphism(dq, split, _unprimed_images(p)))
     out.name = name
     return out
 
@@ -188,9 +185,7 @@ def zeta_Dq(p: AlgebraParams, z1, z2) -> Morphism:
     if not (z1 and z2):
         raise ConstraintViolation("zeta scalars must be nonzero")
     dq = make_Dq(p)
-    return _extend_torus_S_map(
-        p, dq, dq.gen("K").scale(z1), dq.gen("a").scale(z2), {}, name="zeta"
-    )
+    return _extend_torus_S_map(p, dq.gen("K").scale(z1), dq.gen("a").scale(z2), {}, "zeta")
 
 
 def rho_Dq(p: AlgebraParams, A, validate=True) -> Morphism:
@@ -201,7 +196,6 @@ def rho_Dq(p: AlgebraParams, A, validate=True) -> Morphism:
     dq = make_Dq(p)
     return _extend_torus_S_map(
         p,
-        dq,
         dq.normal_form([("K", a11), ("a", a21)]),
         dq.normal_form([("K", a12), ("a", a22)]),
         {},
@@ -214,14 +208,9 @@ def xi_Dq(p: AlgebraParams, z3, z4) -> Morphism:
     if not (z3 and z4):
         raise ConstraintViolation("xi scalars must be nonzero")
     dq = make_Dq(p)
-    ps = primed_in_D(p)
-    s_images = {
-        "Ep": ps.eP.scale(z3),
-        "Fp": ps.fP.scale(z4),
-        "cp": ps.cP.scale(inverse(z3)),
-        "bp": ps.bP.scale(inverse(z4)),
-    }
-    return _extend_torus_S_map(p, dq, dq.gen("K"), dq.gen("a"), s_images, name="xi")
+    scales = {"Ep": z3, "Fp": z4, "cp": inverse(z3), "bp": inverse(z4)}
+    s_images = {g: img.scale(scales[g]) for g, img in primed_in_D(p).images.items()}
+    return _extend_torus_S_map(p, dq.gen("K"), dq.gen("a"), s_images, name="xi")
 
 
 def solve_zeta_twist(p: AlgebraParams, A, B):

@@ -137,10 +137,8 @@ def _s_relations(p: AlgebraParams):
 
 
 @lru_cache(maxsize=None)
-def make_S(p: AlgebraParams, order=S_ORDERS["J1"]) -> Presentation:
-    """Subalgebra on the primed generators for one of the admissible orders."""
-    order = tuple(order)
-    if order not in set(S_ORDERS.values()):
+def _S_presentation(p: AlgebraParams, order=S_ORDERS["J1"]) -> Presentation:
+    if order not in S_ORDERS.values():
         raise InadmissibleOrder(f"order {order} is not one of the admissible four")
     return _stamp(
         Presentation.from_relations(
@@ -151,6 +149,19 @@ def make_S(p: AlgebraParams, order=S_ORDERS["J1"]) -> Presentation:
         ),
         p,
     )
+
+
+def make_S(p: AlgebraParams, order=S_ORDERS["J1"]) -> Presentation:
+    """Subalgebra on the primed generators for one of the admissible orders:
+    one presentation per (p, order), whether the order is left to its
+    default, passed by position or passed by keyword."""
+    return _S_presentation(p, tuple(order))
+
+
+# the cache of make_S, reached as on the other presets
+make_S.cache_clear = _S_presentation.cache_clear
+make_S.cache_info = _S_presentation.cache_info
+make_S.__wrapped__ = _S_presentation.__wrapped__
 
 
 def make_quantum_torus(names, qmatrix) -> Presentation:
@@ -211,6 +222,11 @@ class PrimedSet:
     phi1: Element
     phi2: Element
 
+    @property
+    def images(self) -> dict:
+        """The embedding S -> Dq: each primed generator name to its element."""
+        return {"Ep": self.eP, "Fp": self.fP, "bp": self.bP, "cp": self.cP}
+
 
 @lru_cache(maxsize=None)
 def primed_in_D(p: AlgebraParams) -> PrimedSet:
@@ -251,28 +267,20 @@ def factorize_D(p: AlgebraParams, x: Element):
     Substituting the primed generators back and normal-forming in Dq
     reproduces x exactly (see recombine_D).
     """
-    ds = make_D_split(p)
-    spres = make_S(p)
-    split = substitute(x, _unprimed_images(p), ds)
-    parts = {}
+    split = substitute(x, _unprimed_images(p), make_D_split(p))
+    # a split monomial is (K, a) exponents then S exponents, and no two
+    # monomials share both parts, so each coefficient is read off as it is
+    parts: dict = {}
     for mono, coeff in split.terms.items():
-        key = (mono[0], mono[1])
-        smono = mono[2:]
-        bucket = parts.setdefault(key, {})
-        bucket[smono] = bucket.get(smono, 0) + coeff
-    out = []
-    for key in sorted(parts):
-        el = Element(spres, parts[key])
-        if el:
-            out.append((key, el))
-    return out
+        parts.setdefault(mono[:2], {})[mono[2:]] = coeff
+    spres = make_S(p)
+    return [(key, Element(spres, parts[key])) for key in sorted(parts)]
 
 
 def recombine_D(p: AlgebraParams, parts) -> Element:
     """Inverse of factorize_D: substitute primed generators back into Dq."""
     dq = make_Dq(p)
-    ps = primed_in_D(p)
-    images = {"Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
+    images = primed_in_D(p).images
     cache: dict = {}
     acc: dict = {}
     for (k, l), s_el in parts:

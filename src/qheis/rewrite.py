@@ -34,7 +34,7 @@ from .errors import (
     PresentationError,
     UnknownGenerator,
 )
-from .qfield import ONE, add_scaled, evaluate, inverse, signed_texts
+from .qfield import ONE, _join_parts, add_scaled, evaluate, inverse, signed_texts
 from .qfield import scalar_is_negative, scalar_is_simple
 
 # a presentation's table of block normal forms is emptied when it reaches
@@ -581,8 +581,6 @@ class Presentation:
     def render_element(self, x: Element, coeffs=None) -> str:
         """Text of x, term by term in sort order; each (mono, text of its
         coefficient) is appended to the list `coeffs` when one is given."""
-        if not x.terms:
-            return "0"
         chunks = []
         for mono in sorted(x.terms, key=self.term_sort_key):
             c = x.terms[mono]
@@ -597,11 +595,7 @@ class Presentation:
             if mtext:
                 body = mtext if c == (-1 if neg else 1) else f"{body}*{mtext}"
             chunks.append(("-" if neg else "+", body))
-        sign0, body0 = chunks[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_parts(chunks)
 
 
 def substitute(

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegreeTooSmall, TruncationOverflow, WrongOrder, ZeroVector
+from .errors import DegreeTooSmall, NegativePowerOfNonInvertible, TruncationOverflow
+from .errors import WrongOrder, ZeroVector
 from .presets import S_ORDERS, AlgebraParams, factorize_D, make_Dq, make_S
 from .ideals import Echelon
 from .qfield import ONE, add_scaled, qpow, scalar_is_simple
-from .rewrite import Element
+from .rewrite import Element, substitute
 
 # family -> (order, {generator acting by sigma, generator acting by tau})
 FAMILY_SCALARS = {
@@ -57,6 +58,8 @@ class QuotientModule:
         return {(0, 0): ONE}
 
     def basis_vector(self, i, j, coeff=ONE) -> dict:
+        if int(i) < 0 or int(j) < 0:
+            raise NegativePowerOfNonInvertible(f"basis vector ({i}, {j}) needs exponents >= 0")
         return {(int(i), int(j)): coeff}
 
     def dim_filtration(self, d: int) -> int:
@@ -148,11 +151,16 @@ class WeightModule:
         if self.truncation < 0:
             raise ValueError("truncation window must be >= 0")
         self.dq = make_Dq(self.base.params)
+        # act moves the J1-order S parts of factorize_D onto these generators
+        spres = self.base.spres
+        self._to_base = {g: spres.gen(g) for g in spres.table.names}
+        self._to_base_cache: dict = {}
 
     def basis_vector(self, t, i, j, coeff=ONE) -> dict:
         if abs(t) > self.truncation:
             raise TruncationOverflow(f"layer {t} outside window {self.truncation}")
-        return {(int(t), int(i), int(j)): coeff}
+        (key,) = self.base.basis_vector(i, j)
+        return {(int(t), *key): coeff}
 
     def eigenvalue(self, t):
         """Diagonal-generator eigenvalue on layer t."""
@@ -173,7 +181,10 @@ class WeightModule:
         by a^l, for the a-weight kind a^l acts before the shift by K^k.
         """
         out: dict = {}
+        spres = self.base.spres
         for (k, l), s_el in factorize_D(self.base.params, x):
+            if s_el.pres.table.names != spres.table.names:
+                s_el = substitute(s_el, self._to_base, spres, self._to_base_cache)
             shift, diag_exp = (l, k) if self.kind == "K" else (k, l)
             for (t, i, j), c in vec.items():
                 acted = self.base.act(s_el, {(i, j): c})
@@ -224,6 +235,8 @@ def cyclicity_probe(mod: QuotientModule, w: dict, mult_degree: int) -> str:
     Undetermined (a finite probe cannot refute simplicity)."""
     if not w:
         raise ZeroVector("probe needs a nonzero vector")
+    if mult_degree < 0:
+        raise DegreeTooSmall("probe needs a multiplier degree >= 0")
     echelon = Echelon(_vec_key_order)
     target = mod.cyclic_vector()
     for total in range(mult_degree + 1):

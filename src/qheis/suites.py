@@ -19,6 +19,7 @@ from .ideals import (
     torus_quotient_map,
 )
 from .morphisms import (
+    Morphism,
     check_hopf_compatibility,
     check_inverse,
     check_morphism,
@@ -187,16 +188,8 @@ def suite_primed(cfg: RunConfig):
     p = cfg.params
     records = [{"check": name, "ok": bool(ok)} for name, ok in _primed_relation_checks(p)]
     # abstract S embeds through the primed elements
-    from .morphisms import Morphism
-
     dq = make_Dq(p)
-    ps = primed_in_D(p)
-    embed = Morphism(
-        make_S(p),
-        dq,
-        {"Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP},
-        name="s-embed",
-    )
+    embed = Morphism(make_S(p), dq, primed_in_D(p).images, name="s-embed")
     records.append(
         {
             "check": "S -> Dq embedding",
@@ -491,13 +484,9 @@ def suite_aut(cfg: RunConfig):
             twist_ok = False
     rec("rho morphisms", rho_ok, pairs=SL2_PAIRS)
     rec("rho composition twist", twist_ok, pairs=SL2_PAIRS)
-    ps = primed_in_D(p)
-    A = random_sl2(rng)
-    rho = rho_Dq(p, A)
-    rec(
-        "rho fixes primed generators",
-        all(rho.apply(x) == x for x in (ps.bP, ps.cP, ps.eP, ps.fP)),
-    )
+    rho = rho_Dq(p, random_sl2(rng))
+    primed = primed_in_D(p).images.values()
+    rec("rho fixes primed generators", all(rho.apply(x) == x for x in primed))
     return records
 
 

@@ -174,6 +174,23 @@ def test_module_commands():
     assert 1.7 <= rec["exponent"] <= 2.3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module", "act", "--vec=-1,0", "Ep"],
+        ["module", "act", "--vec=0,-1", "bp"],
+        ["module", "act", "--family", "J3", "--vec=-2,-2", "1"],
+        ["module", "probe", "--deg", "-3", "Ep"],
+    ],
+    ids=" ".join,
+)
+def test_module_inputs_out_of_range_exit_2(argv):
+    """A negative basis exponent or multiplier degree is a usage error with
+    no output, not an answer such as `1.v` or `Undetermined`."""
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+
+
 def test_module_support_window():
     code, out = run_cli(
         ["module", "support", "--kind", "K", "--window", "1", "--eigenvalue", "2"]

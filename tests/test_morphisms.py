@@ -39,6 +39,17 @@ def test_embedding_prop(mn_params):
     assert check_hopf_compatibility(f, h_src, h_tgt)
 
 
+def test_morphism_leaves_the_given_images_untouched(p11):
+    """The morphism keeps normal forms in a dict of its own."""
+    oq = make_Oq(p11)
+    images = {"a": [("a", 1)], "b": [("c", 1)], "c": [("b", 1)]}
+    given = {g: list(word) for g, word in images.items()}
+    f = Morphism(oq, oq, images)
+    assert images == given
+    assert f.images == {"a": oq.gen("a"), "b": oq.gen("c"), "c": oq.gen("b")}
+    assert check_morphism(f).ok
+
+
 def test_tau_pass_and_fail():
     assert check_morphism(tau_Oq(params(2, 2))).ok
     assert check_morphism(tau_Oq(params(3, -3))).ok

@@ -123,6 +123,24 @@ def test_s_inadmissible_order(p11):
         make_S(p11, ("Fp", "Ep", "cp", "bp"))
 
 
+def test_one_s_presentation_per_order():
+    """However the order is passed, one presentation and one pair cache."""
+    p = params(2, -3)
+    j1 = S_ORDERS["J1"]
+    assert make_S(p) is make_S(p, j1) is make_S(p, order=j1) is make_S(p, list(j1))
+    for order in S_ORDERS.values():
+        assert make_S(p, order) is make_S(p, order=order)
+        assert make_S(p, order).table.names == order
+    assert len({id(make_S(p, order)) for order in S_ORDERS.values()}) == 4
+
+
+def test_primed_images_name_the_primed_elements(mn_params):
+    ps = primed_in_D(mn_params)
+    assert ps.images == {"Ep": ps.eP, "Fp": ps.fP, "bp": ps.bP, "cp": ps.cP}
+    ps.images["Ep"] = None
+    assert ps.images["Ep"] is ps.eP
+
+
 def test_primed_eP_single_monomial(p11):
     ps = primed_in_D(p11)
     assert len(ps.eP.terms) == 1

@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from qheis.errors import TruncationOverflow, WrongOrder, ZeroVector
-from qheis.presets import S_ORDERS, make_S
+from qheis.errors import DegreeTooSmall, NegativePowerOfNonInvertible, TruncationOverflow
+from qheis.errors import WrongOrder, ZeroVector
+from qheis.presets import S_ORDERS, make_S, params
 from qheis.qfield import ONE, ZERO, QScalar, qpow
 from qheis.sampling import random_element
 from qheis.smodules import (
@@ -242,6 +243,54 @@ def test_weight_module_law(mn_params):
             y = random_element(dq, rng, max_degree=2, n_terms=2, torus_window=1)
             v = wm.basis_vector(rng.randint(-1, 1), rng.randint(0, 2), rng.randint(0, 2))
             assert wm.act(dq.multiply(x, y), v) == wm.act(x, wm.act(y, v))
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, -3), (-1, 2)], ids=lambda mn: f"m{mn[0]}n{mn[1]}")
+@pytest.mark.parametrize("family", ["J1", "J2", "J3", "J4"])
+@pytest.mark.parametrize("st", SIGMA_TAU, ids=["00", "01", "10"])
+def test_weight_module_law_every_family(mn, family, st):
+    """act(x*y, v) == act(x, act(y, v)) and K(a.v) = q^{-1} a(K.v) for K- and
+    a-weight modules over each base family: the S parts of a Dq element
+    come in the J1 order and act in the order of the base.  x, y run over
+    every pair of generators, so each defining relation of Dq is met, and
+    over seeded random elements."""
+    p = params(*mn)
+    mod = QuotientModule(family, *st, p)
+    rng = random.Random(97)
+    window = 6 * (abs(p.m) + abs(p.n))
+    nonzero = 0
+    for kind in ("K", "a"):
+        wm = WeightModule(kind, QScalar(2), mod, truncation=window)
+        dq = wm.dq
+        K, a = dq.gen("K"), dq.gen("a")
+        gens = [dq.gen(g) for g in dq.table.names]
+        pairs = [(x, y) for x in gens for y in gens] + [
+            tuple(random_element(dq, rng, max_degree=2, n_terms=2, torus_window=1) for _ in "xy")
+            for _ in range(6)
+        ]
+        for x, y in pairs:
+            v = wm.basis_vector(rng.randint(-1, 1), rng.randint(0, 2), rng.randint(0, 2))
+            xy_v = wm.act(dq.multiply(x, y), v)
+            assert xy_v == wm.act(x, wm.act(y, v))
+            nonzero += bool(xy_v)
+            lhs = wm.act(K, wm.act(a, v))
+            assert lhs == {k: qpow(-1) * c for k, c in wm.act(a, wm.act(K, v)).items()}
+            assert lhs
+    assert nonzero >= 40
+
+
+@pytest.mark.parametrize("family", ["J1", "J2", "J3", "J4"])
+def test_negative_exponents_and_probe_degrees_are_refused(p11, family):
+    mod = QuotientModule(family, ZERO, ZERO, p11)
+    wm = WeightModule("a", ONE, mod, truncation=1)
+    for i, j in ((-1, 0), (0, -1)):
+        with pytest.raises(NegativePowerOfNonInvertible):
+            mod.basis_vector(i, j)
+        with pytest.raises(NegativePowerOfNonInvertible):
+            wm.basis_vector(0, i, j)
+    assert wm.basis_vector(-1, 2, 0) == {(-1, 2, 0): ONE}
+    with pytest.raises(DegreeTooSmall):
+        cyclicity_probe(mod, mod.cyclic_vector(), -3)
 
 
 def test_weight_layer_dimension_profile(p11):
