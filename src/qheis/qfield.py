@@ -193,6 +193,8 @@ class QScalar:
     __slots__ = ("shift", "num", "den", "_hash")
 
     def __init__(self, value=0):
+        # each value is canonical as it stands: an int or a Fraction in
+        # lowest terms (positive denominator) is a constant num over den
         if isinstance(value, QScalar):
             shift, num, den = value.shift, value.num, value.den
         elif isinstance(value, int):
@@ -203,7 +205,7 @@ class QScalar:
             den = (value.denominator,)
         else:
             raise TypeError(f"cannot build QScalar from {type(value).__name__}")
-        self.shift, self.num, self.den = _canon(shift, num, den)
+        self.shift, self.num, self.den = shift, num, den
         self._hash = None
 
     @classmethod
@@ -277,21 +279,28 @@ class QScalar:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.num or not o.num:
+        if other.__class__ is QScalar:
+            o = other
+        elif other.__class__ is int:
+            if not other or not self.num:
+                return ZERO
+            return self._scaled(0, other)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        num, onum = self.num, o.num
+        if not num or not onum:
             return ZERO
-        if o.den == (1,) and len(o.num) == 1:
-            return self._scaled(o.shift, o.num[0])
-        if self.den == (1,) and len(self.num) == 1:
-            return o._scaled(self.shift, self.num[0])
+        if o.den == (1,) and len(onum) == 1:
+            if self.den == (1,) and len(num) == 1:
+                # c1*q^k1 * c2*q^k2: a product of monomials is canonical
+                return QScalar._raw(self.shift + o.shift, (num[0] * onum[0],), (1,))
+            return self._scaled(o.shift, onum[0])
+        if self.den == (1,) and len(num) == 1:
+            return o._scaled(self.shift, num[0])
         return QScalar._raw(
-            *_canon(
-                self.shift + o.shift,
-                _pmul(self.num, o.num),
-                _pmul(self.den, o.den),
-            )
+            *_canon(self.shift + o.shift, _pmul(num, onum), _pmul(self.den, o.den))
         )
 
     __rmul__ = __mul__
@@ -304,11 +313,12 @@ class QScalar:
             return self  # scalars are immutable, so the product can share it
         num, den = self.num, self.den
         if c != 1:
-            g = gcd(c, _content(den))
-            if g > 1:
-                c //= g
-                den = _pscale_exact(den, g)
-            num = tuple(x * c for x in num)
+            if den != (1,):
+                g = gcd(c, _content(den))
+                if g > 1:
+                    c //= g
+                    den = _pscale_exact(den, g)
+            num = tuple([x * c for x in num])
         return QScalar._raw(self.shift + k, num, den)
 
     def inv(self) -> "QScalar":
@@ -443,7 +453,10 @@ def _canon(shift, num, den):
 ZERO = QScalar(0)
 ONE = QScalar(1)
 
+# q^k already built, by k; emptied when it reaches _QPOW_CACHE_CAP entries,
+# since closed-form products meet ever new exponents
 _QPOW_CACHE: dict[int, QScalar] = {}
+_QPOW_CACHE_CAP = 1 << 12
 
 
 def qpow(k: int) -> QScalar:
@@ -451,6 +464,8 @@ def qpow(k: int) -> QScalar:
     s = _QPOW_CACHE.get(k)
     if s is None:
         s = QScalar._raw(k, (1,), (1,))
+        if len(_QPOW_CACHE) >= _QPOW_CACHE_CAP:
+            _QPOW_CACHE.clear()
         _QPOW_CACHE[k] = s
     return s
 

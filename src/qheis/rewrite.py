@@ -19,6 +19,10 @@ A tail rule whose descent is a block g^a*h^b with a, b >= 2 rewrites the
 whole block at once: its normal form (for the q-Weyl pairs, the expansion
 of Kassel, Quantum Groups, GTM 155, ch. IV) is reduced one letter at a time
 once per presentation and then spliced in wherever the block recurs.
+
+A product of two monomials that no tail rule crosses is not rewritten at
+all: only pure q-commutations reorder it, so it is the merged monomial
+times one scalar, read off the rule table in closed form.
 """
 
 from __future__ import annotations
@@ -28,14 +32,15 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, product
 from math import comb
+from operator import add
 
 from .errors import (
     NegativePowerOfNonInvertible,
     PresentationError,
     UnknownGenerator,
 )
-from .qfield import ONE, _join_parts, add_scaled, evaluate, inverse, signed_texts
-from .qfield import scalar_is_negative, scalar_is_simple
+from .qfield import ONE, QScalar, _join_parts, add_scaled, evaluate, inverse, qpow
+from .qfield import scalar_is_negative, scalar_is_simple, signed_texts
 
 # a presentation's table of block normal forms is emptied when it reaches
 # this many entries, so that it cannot grow without limit (the entry for
@@ -80,6 +85,14 @@ class Element:
     def __init__(self, pres, terms):
         self.pres = pres
         self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def _trusted(cls, pres, terms):
+        """An element that takes `terms`, a dict holding no zero, as it is."""
+        self = object.__new__(cls)
+        self.pres = pres
+        self.terms = terms
+        return self
 
     def __bool__(self):
         return bool(self.terms)
@@ -164,6 +177,18 @@ class Presentation:
         self._hopf = None  # the HopfStructure of hopf.py, built at most once
         self._unit = tuple([0] * n)
         self._debug = bool(os.environ.get("QHEIS_DEBUG"))
+        # the closed-form product reads the pure q-commutations off
+        # _crossing[later][earlier], None where the rule has a tail: the
+        # exponent k of each swap q^k when every swap is a q-power, else
+        # the swap itself (a specialized presentation)
+        pure = {key: r.swap for key, r in self.rules.items() if not r.tail}
+        self._has_tails = len(pure) < len(self.rules)
+        self._qpowers = all(
+            s.__class__ is QScalar and s.is_q_power() for s in pure.values()
+        )
+        self._crossing = [[None] * i for i in range(n)]
+        for (i, j), s in pure.items():
+            self._crossing[i][j] = s.shift if self._qpowers else s
         for rule in self.rules.values():
             bound = table.degrees[rule.later] + table.degrees[rule.earlier]
             for mono, _ in rule.tail:
@@ -221,7 +246,9 @@ class Presentation:
     def tensor_square(self) -> "Presentation":
         """A (x) A on the generators g(1) of the first copy, then g(2) of the
         second: each copy keeps the rules of A and the copies commute.  It
-        is built once, so its pair cache lives as long as A does."""
+        is built once, so its pair cache lives as long as A does.  When A has
+        no tail rule neither has the square, and its pair cache stays empty:
+        every product it forms is a closed form."""
         if self._square is None:
             t = self.table
             k = len(t.names)
@@ -460,6 +487,41 @@ class Presentation:
                 return out
             w = list(key)
 
+    def _skew_product(self, m1, m2):
+        """m1*m2 as {m1 + m2: c} when no tail rule crosses, else None.
+
+        The crossing pairs are the letters g^a of m1 and h^b of m2 with h
+        before g.  When each crosses by a pure q-commutation, each crossing
+        multiplies by swap^(a*b) whatever route the rewriter takes, so c is
+        q^(sum k*a*b) when every swap is a q-power q^k and the product of
+        the swap^(a*b) otherwise.  With nothing to cross c is the int 1,
+        as from `_reduce`.
+        """
+        crossing = self._crossing
+        qpowers = self._qpowers
+        k = 0
+        c = 1
+        crossed = False
+        second = [(j, b) for j, b in enumerate(m2) if b]
+        for i, a in enumerate(m1):
+            if not a:
+                continue
+            row = crossing[i]
+            for j, b in second:
+                if j >= i:
+                    break
+                s = row[j]
+                if s is None:
+                    return None
+                if qpowers:
+                    k += s * a * b
+                else:
+                    c = c * s ** (a * b)
+                crossed = True
+        if crossed and qpowers:
+            c = qpow(k)
+        return {tuple(map(add, m1, m2)): c}
+
     def normal_form(self, x, strategy="left"):
         """Normal form of an Element or of a word [(name, exp), ...].
 
@@ -474,18 +536,32 @@ class Presentation:
         return Element(self, self._reduce(1, self._validate_word(x), strategy))
 
     def multiply(self, x: Element, y: Element) -> Element:
+        """x*y.  A product of two monomials comes from the pair cache, from
+        the closed form or from the rewriter, in that order; a presentation
+        with no tail rule forms every product in closed form and keeps none.
+        With QHEIS_DEBUG the rewriter checks every closed form."""
         if x.pres is not self or y.pres is not self:
             if x.pres.table.names != self.table.names or y.pres.table.names != self.table.names:
                 raise PresentationError("operands belong to a different presentation")
         out = {}
         cache = self._pair_cache
+        keep = self._has_tails
+        debug = self._debug
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                prod = cache.get((m1, m2))
+                prod = cache.get((m1, m2)) if keep else None
                 if prod is None:
-                    word = self._word_of_mono(m1) + self._word_of_mono(m2)
-                    prod = self._reduce(1, word)
-                    cache[(m1, m2)] = prod
+                    prod = self._skew_product(m1, m2)
+                    if prod is None or debug:
+                        word = self._word_of_mono(m1) + self._word_of_mono(m2)
+                        reduced = self._reduce(1, word)
+                        if prod is not None:
+                            assert _typed(prod) == _typed(reduced), (
+                                "closed-form product differs from the rewriter"
+                            )
+                        prod = reduced
+                    if keep:
+                        cache[(m1, m2)] = prod
                 # c * 1 and 1 * c are c, of the product's type
                 if c2.__class__ is int and c2 == 1:
                     c = c1
@@ -493,8 +569,21 @@ class Presentation:
                     c = c2
                 else:
                     c = c1 * c2
-                add_scaled(out, prod, c)
-        return Element(self, out)
+                if len(prod) != 1:
+                    add_scaled(out, prod, c)
+                    continue
+                # one term, added as add_scaled would add it
+                (m, v), = prod.items()
+                if not (c.__class__ is int and c == 1):
+                    v = c if v.__class__ is int and v == 1 else c * v
+                prev = out.get(m)
+                if prev is not None:
+                    v = prev + v
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        return Element._trusted(self, out)
 
     def commutator(self, x: Element, y: Element) -> Element:
         return self.multiply(x, y) - self.multiply(y, x)
@@ -623,7 +712,12 @@ def substitute(
                 img = _image_power(images, target, cache, names[i], e)
                 acc = img if acc is None else target.multiply(acc, img)
         add_scaled(out, (target.one() if acc is None else acc).terms, coeff)
-    return Element(target, out)
+    return Element._trusted(target, out)
+
+
+def _typed(terms):
+    """A {monomial: coeff} map with each coefficient's type next to it."""
+    return {m: (c.__class__, c) for m, c in terms.items()}
 
 
 def _image_power(images, target, cache, name, e):

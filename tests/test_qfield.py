@@ -225,6 +225,79 @@ def test_mul_by_integer_divides_the_denominator_content():
     assert str(half * 2) == "1/(1 + q)"
 
 
+_ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(2**80), 2**80))
+_monomials = st.builds(
+    lambda c, k: QScalar.from_num_den((c,), (1,), shift=k), _ints.filter(bool), _shifts
+)
+_polynomials = st.builds(lambda num, k: QScalar.from_num_den(num, (1,), shift=k), _polys, _shifts)
+
+
+def _canon_route(a, b):
+    """a * b as _canon of the unreduced product; an int or a Fraction b
+    enters as its numerator over its denominator."""
+    if isinstance(b, QScalar):
+        shift, num, den = _triple(b)
+    else:
+        f = Fraction(b)
+        shift, num, den = 0, (f.numerator,), (f.denominator,)
+    num = qfield._trim(_times(a.num, num))
+    return QScalar._raw(*qfield._canon(a.shift + shift, num, tuple(_times(a.den, den))))
+
+
+def _same(x, y):
+    assert _triple(x) == _triple(y)
+    assert hash(x) == hash(y)
+
+
+@_fast
+@given(v=st.one_of(_ints, st.fractions()))
+def test_constant_scalars_are_canonical_as_given(v):
+    """QScalar(int) and QScalar(Fraction) skip _canon; they are what it
+    gives, and hash like the number they hold."""
+    f = Fraction(v)
+    want = QScalar._raw(*qfield._canon(0, (f.numerator,) if f else (), (f.denominator,)))
+    _same(QScalar(v), want)
+    assert hash(QScalar(v)) == hash(v)
+
+
+@_fast
+@given(a=st.one_of(_scalars, _monomials, _polynomials), c=_ints)
+def test_mul_by_int_matches_the_canon_route(a, c):
+    """An int factor goes straight to _scaled, which skips the content gcd
+    over the denominator 1."""
+    want = _canon_route(a, c)
+    _same(a * c, want)
+    _same(c * a, want)
+
+
+@_fast
+@given(a=_monomials, b=_monomials)
+def test_product_of_monomials_matches_the_canon_route(a, b):
+    want = _canon_route(a, b)
+    _same(a * b, want)
+    _same(b * a, want)
+
+
+@_fast
+@given(a=st.one_of(_scalars, _monomials), f=st.fractions())
+def test_mul_by_fraction_matches_the_canon_route(a, f):
+    want = _canon_route(a, f)
+    _same(a * f, want)
+    _same(a * QScalar(f), want)
+
+
+def test_qpow_cache_is_bounded(monkeypatch):
+    """With a small cap the cache is emptied whenever it is full; every
+    q^k is canonical whether built afresh or read back."""
+    monkeypatch.setattr(qfield, "_QPOW_CACHE", {})
+    monkeypatch.setattr(qfield, "_QPOW_CACHE_CAP", 8)
+    for k in list(range(-20, 20)) + list(range(-5, 5)):
+        s = qpow(k)
+        assert (s.shift, s.num, s.den) == (k, (1,), (1,))
+        assert len(qfield._QPOW_CACHE) <= 8
+    assert qpow(3) is qpow(3)
+
+
 @pytest.mark.parametrize(
     "c, simple",
     [
