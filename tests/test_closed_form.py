@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qheis.presets import S_ORDERS, make_D_split, make_Dq, make_Oq, make_S, make_Uq, params
-from qheis.qfield import QScalar
 from qheis.rewrite import Presentation
 from qheis.suites import SUITE_NAMES, RunConfig, run_suites
 
@@ -53,7 +52,7 @@ def _tail_crosses(pres, m1, m2):
 def _monomial(draw, pres):
     """Sparse exponents; an invertible generator may take a negative one."""
     return tuple(
-        draw(st.sampled_from([0, 0, 0]) | st.integers(-3 if inv else 0, 3))
+        draw(st.just(0) | st.integers(-3 if inv else 0, 3))
         for inv in pres.table.invertible
     )
 
@@ -68,7 +67,7 @@ def _agrees_with_rewriter(pres, m1, m2):
     assert _typed(closed) == _typed(pres._reduce(1, word))
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_closed_form_matches_the_rewriter(data):
     """Random monomial pairs over every presentation family, symbolic and
@@ -99,28 +98,6 @@ def test_closed_form_on_every_generator_pair(name, q0):
             if not _crossings(m1, m2):
                 (c,) = pres._skew_product(m1, m2).values()
                 assert c.__class__ is int and c == 1
-
-
-def test_tensor_square_crossings_are_q_powers(p11):
-    """The copies of a square commute by q^0: a QScalar, as _reduce gives."""
-    sq = make_Oq(p11).tensor_square()
-    k = len(sq.table.names) // 2
-    m1 = (0,) * k + (1,) + (0,) * (k - 1)
-    m2 = (1,) + (0,) * (2 * k - 1)
-    (c,) = sq._skew_product(m1, m2).values()
-    assert c.__class__ is QScalar and c.is_one()
-
-
-def test_closed_form_declines_a_crossing_tail(p11):
-    dq = make_Dq(p11)
-    i = dq.index
-    e = dq.gen("E").terms
-    c = dq.gen("c").terms
-    ((me, _),) = e.items()
-    ((mc, _),) = c.items()
-    assert dq.rules[(i["E"], i["c"])].tail
-    assert dq._skew_product(me, mc) is None
-    assert dq._skew_product(mc, me) is not None
 
 
 # ---------------------------------------------------------------------------
