@@ -86,14 +86,6 @@ class Element:
         self.pres = pres
         self.terms = {m: c for m, c in terms.items() if c}
 
-    @classmethod
-    def _trusted(cls, pres, terms):
-        """An element that takes `terms`, a dict holding no zero, as it is."""
-        self = object.__new__(cls)
-        self.pres = pres
-        self.terms = terms
-        return self
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -569,21 +561,8 @@ class Presentation:
                     c = c2
                 else:
                     c = c1 * c2
-                if len(prod) != 1:
-                    add_scaled(out, prod, c)
-                    continue
-                # one term, added as add_scaled would add it
-                (m, v), = prod.items()
-                if not (c.__class__ is int and c == 1):
-                    v = c if v.__class__ is int and v == 1 else c * v
-                prev = out.get(m)
-                if prev is not None:
-                    v = prev + v
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return Element._trusted(self, out)
+                add_scaled(out, prod, c)
+        return Element(self, out)
 
     def commutator(self, x: Element, y: Element) -> Element:
         return self.multiply(x, y) - self.multiply(y, x)
@@ -712,7 +691,7 @@ def substitute(
                 img = _image_power(images, target, cache, names[i], e)
                 acc = img if acc is None else target.multiply(acc, img)
         add_scaled(out, (target.one() if acc is None else acc).terms, coeff)
-    return Element._trusted(target, out)
+    return Element(target, out)
 
 
 def _typed(terms):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qheis.presets import S_ORDERS, make_D_split, make_Dq, make_Oq, make_S, make_Uq, params
-from qheis.rewrite import Presentation
+from qheis.rewrite import Presentation, _typed
 from qheis.suites import SUITE_NAMES, RunConfig, run_suites
 
 BUILDERS = {
@@ -33,10 +33,6 @@ POINTS = [None, Fraction(3, 2), Fraction(-2, 5)]
 def _presentation(name, mn, q0):
     pres = BUILDERS[name](params(*mn))
     return pres if q0 is None else pres.specialize(q0)
-
-
-def _typed(terms):
-    return {m: (c.__class__, c) for m, c in terms.items()}
 
 
 def _crossings(m1, m2):
