@@ -315,8 +315,9 @@ class DualPairing:
 
     # -- verification ----------------------------------------------------------
 
-    def check_module_algebra(self, samples=100, seed=0, degree_bound=2):
-        """u.(xy) = sum (u_(1).x)(u_(2).y) and (uv).x = u.(v.x) on seeded data."""
+    def check_module_algebra(self, samples=100, seed=0):
+        """u.(xy) = sum (u_(1).x)(u_(2).y) and (uv).x = u.(v.x) on seeded
+        elements of degree at most 2."""
         import random
 
         from .sampling import random_element
@@ -324,9 +325,9 @@ class DualPairing:
         rng = random.Random(seed)
         failures = []
         for k in range(samples):
-            u = random_element(self.uq, rng, max_degree=degree_bound, n_terms=2)
-            x = random_element(self.oq, rng, max_degree=degree_bound, n_terms=2)
-            y = random_element(self.oq, rng, max_degree=degree_bound, n_terms=2)
+            u = random_element(self.uq, rng, max_degree=2, n_terms=2)
+            x = random_element(self.oq, rng, max_degree=2, n_terms=2)
+            y = random_element(self.oq, rng, max_degree=2, n_terms=2)
             lhs = self.act(u, self.oq.multiply(x, y))
             rhs: dict = {}
             for (u1, u2), c in self.hu.split_coproduct(u).items():
@@ -337,7 +338,7 @@ class DualPairing:
                 add_scaled(rhs, acted.terms, c)
             if lhs.terms != rhs:
                 failures.append((k, "leibniz"))
-            v = random_element(self.uq, rng, max_degree=degree_bound, n_terms=2)
+            v = random_element(self.uq, rng, max_degree=2, n_terms=2)
             if self.act(self.uq.multiply(u, v), x) != self.act(u, self.act(v, x)):
                 failures.append((k, "associativity"))
         return failures

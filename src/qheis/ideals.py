@@ -316,16 +316,15 @@ class AvoidanceReport:
     detected: list
 
 
-def monomial_avoidance_probe(ideal: TruncatedIdeal, degree_bound=None) -> AvoidanceReport:
-    """No pure monomial in bp, cp may lie in a prime ideal's span;
-    a detection demonstrates a non-prime input."""
+def monomial_avoidance_probe(ideal: TruncatedIdeal, degree_bound) -> AvoidanceReport:
+    """No pure monomial in bp, cp of degree at most `degree_bound` may lie
+    in a prime ideal's span; a detection demonstrates a non-prime input."""
     spres = ideal.spres
-    D = degree_bound if degree_bound is not None else ideal.degree_bound
     ib, ic = spres.index["bp"], spres.index["cp"]
     checked = []
     detected = []
-    for i in range(D + 1):
-        for j in range(D + 1 - i):
+    for i in range(degree_bound + 1):
+        for j in range(degree_bound + 1 - i):
             mono = [0] * len(spres.table.names)
             mono[ib], mono[ic] = i, j
             el = spres.monomial(tuple(mono))
@@ -424,16 +423,15 @@ def spec_diagram(catalog: SpecCatalog):
 # the quantum torus quotient of S/(phi1 + phi2)
 
 
-def torus_quotient_map(p: AlgebraParams, spres=None):
+def torus_quotient_map(p: AlgebraParams):
     """Morphism S -> k[E'^{+-1}, F'^{+-1}] killing both commutator ideals."""
     from .morphisms import Morphism
 
-    spres = spres or make_S(p)
     torus = torus_of_S_quotient(p)
     c_coeff = (ONE - qpow(2 * p.m * p.m)).inv()
     b_coeff = (ONE - qpow(-2 * p.n * p.n)).inv()
     return Morphism(
-        spres,
+        make_S(p),
         torus,
         {
             "Ep": torus.gen("Ep"),

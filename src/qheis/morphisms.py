@@ -188,10 +188,10 @@ def zeta_Dq(p: AlgebraParams, z1, z2) -> Morphism:
     return _extend_torus_S_map(p, dq.gen("K").scale(z1), dq.gen("a").scale(z2), {}, "zeta")
 
 
-def rho_Dq(p: AlgebraParams, A, validate=True) -> Morphism:
+def rho_Dq(p: AlgebraParams, A) -> Morphism:
     """K -> K^{A11} a^{A21}, a -> K^{A12} a^{A22}, identity on the primed part."""
     (a11, a12), (a21, a22) = A
-    if validate and a11 * a22 - a12 * a21 != 1:
+    if a11 * a22 - a12 * a21 != 1:
         raise ConstraintViolation("rho_A requires A in SL2(Z)")
     dq = make_Dq(p)
     return _extend_torus_S_map(

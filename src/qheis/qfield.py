@@ -343,10 +343,10 @@ class QScalar:
             return NotImplemented
         if k == 0:
             return ONE
+        if self.is_q_power():
+            return qpow(self.shift * k)
         base = self if k > 0 else self.inv()
         k = abs(k)
-        if base.is_q_power():
-            return qpow(base.shift * k)
         acc = ONE
         while k:
             if k & 1:

@@ -57,10 +57,10 @@ class QuotientModule:
     def cyclic_vector(self) -> dict:
         return {(0, 0): ONE}
 
-    def basis_vector(self, i, j, coeff=ONE) -> dict:
+    def basis_vector(self, i, j) -> dict:
         if int(i) < 0 or int(j) < 0:
             raise NegativePowerOfNonInvertible(f"basis vector ({i}, {j}) needs exponents >= 0")
-        return {(int(i), int(j)): coeff}
+        return {(int(i), int(j)): ONE}
 
     def dim_filtration(self, d: int) -> int:
         """Number of basis vectors of degree <= d: a lattice count, not the
@@ -156,11 +156,11 @@ class WeightModule:
         self._to_base = {g: spres.gen(g) for g in spres.table.names}
         self._to_base_cache: dict = {}
 
-    def basis_vector(self, t, i, j, coeff=ONE) -> dict:
+    def basis_vector(self, t, i, j) -> dict:
         if abs(t) > self.truncation:
             raise TruncationOverflow(f"layer {t} outside window {self.truncation}")
         (key,) = self.base.basis_vector(i, j)
-        return {(int(t), *key): coeff}
+        return {(int(t), *key): ONE}
 
     def eigenvalue(self, t):
         """Diagonal-generator eigenvalue on layer t."""

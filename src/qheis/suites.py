@@ -363,9 +363,9 @@ def suite_growth(cfg: RunConfig):
 def suite_ideals(cfg: RunConfig):
     p = cfg.params
     records = []
-    cat = build_spec_catalog(p, degree_bound=cfg.deg)
+    # the records read J1(z) and J2(z) at z = 1 only
+    cat = build_spec_catalog(p, degree_bound=cfg.deg, z_samples=(ONE,))
     s = cat.spres
-    phi1, phi2 = phi_elements(s)
     m = p.m
     rewritten = s.multiply(s.gen("cp"), s.gen("Ep")).scale(ONE - qpow(2 * m * m)) - s.one()
     records.append(

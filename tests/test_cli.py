@@ -2,10 +2,13 @@
 
 import io
 import json
+import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import qheis
 from qheis import qfield
 from qheis.cli import _dispatch, build_parser, main
 
@@ -263,6 +266,21 @@ def test_env_seed(monkeypatch):
     code, out = run_cli(["verify", "--suite", "smash"])
     assert code == 0
     assert lines_of(out)[-1]["seed"] == 11
+
+
+def test_the_package_reads_no_environment_variable_but_the_seed():
+    """Each read of os.environ or getenv in the package names its variable
+    as a literal, and QHEIS_SEED is the only one: a new switch shows here."""
+    names = set()
+    for path in sorted(Path(qheis.__file__).parent.rglob("*.py")):
+        text = path.read_text()
+        reads = re.findall(r"\b(?:environ|getenv)\b", text)
+        named = re.findall(
+            r"""\b(?:environ(?:\.get)?\s*[\[(]|getenv\s*\()\s*["']([A-Za-z0-9_]+)["']""", text
+        )
+        assert len(named) == len(reads), path.name
+        names.update(named)
+    assert names == {"QHEIS_SEED"}
 
 
 def test_cached_parser_matches_fresh_parser():

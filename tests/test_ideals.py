@@ -27,6 +27,7 @@ from qheis.presets import make_quantum_torus, make_S, params
 from qheis.qfield import ONE, QScalar, add_scaled, inverse, qpow
 from qheis.rewrite import Element, Presentation
 from qheis.smodules import QuotientModule, cyclicity_probe
+from qheis.suites import RunConfig, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +389,15 @@ def test_catalog_work_counts(monkeypatch):
     _count_calls(monkeypatch, qheis.qfield, "_canon", counts)
     build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
     assert counts == {"multiply": 1288, "_canon": 2390}
+
+
+def test_ideals_suite_builds_only_the_ideals_it_reads(monkeypatch):
+    """The records read J1(z) and J2(z) at z = 1 only: 0, I1, I2, I3,
+    J1(1) and J2(1) are six spans, where three values of z made ten."""
+    counts = {}
+    _count_calls(monkeypatch, TruncatedIdeal, "_build", counts)
+    _, ok = run_suites(("ideals",), RunConfig(seed=7))
+    assert ok and counts == {"_build": 6}
 
 
 @pytest.fixture(scope="module")

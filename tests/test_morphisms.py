@@ -8,6 +8,7 @@ from qheis.errors import ConstraintViolation, PresentationError, TypeMismatch
 from qheis.hopf import hopf_Oq, hopf_Uq
 from qheis.morphisms import (
     Morphism,
+    _extend_torus_S_map,
     check_hopf_compatibility,
     check_inverse,
     check_morphism,
@@ -120,7 +121,9 @@ def test_rho_identity_and_validation(p11):
 
 
 def test_rho_det2_fails_torus_relation(p11):
-    f = rho_Dq(p11, ((2, 0), (0, 1)), validate=False)
+    """K -> K^2, a -> a, which rho_Dq refuses, built as rho_A would be."""
+    dq = make_Dq(p11)
+    f = _extend_torus_S_map(p11, dq.gen("K", 2), dq.gen("a"), {}, "rho_A")
     report = check_morphism(f)
     assert not report.ok
     assert any("a*K" in name or "K*a" in name for name, _ in report.failures)

@@ -30,8 +30,7 @@ def test_params_validation():
         params(0, 3)
     with pytest.raises(ZeroParameter):
         params(2, 0)
-    with pytest.raises(ZeroParameter):
-        AlgebraParams(2, 4, 1)
+    assert AlgebraParams(-6, 4) == params(-6, 4)
     assert params(6, 4).d == 2
     assert params(-2, 5).d == 1
 

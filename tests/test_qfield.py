@@ -276,6 +276,32 @@ def test_mul_fast_paths_match_the_canon_route(a, b):
         _same(a * QScalar(b), want)
 
 
+@_fast
+@given(
+    x=st.one_of(_shifts.map(qpow), _monomials, _scalars.filter(bool)),
+    e=st.integers(-6, 6),
+)
+def test_pow_matches_repeated_multiplication(x, e):
+    """x ** e is |e| factors of x, or of x.inv() when e < 0."""
+    factor = x if e > 0 else x.inv()
+    want = ONE
+    for _ in range(abs(e)):
+        want = want * factor
+    _same(x**e, want)
+
+
+def test_negative_power_of_a_q_power_calls_no_canon(monkeypatch):
+    """q^k ** e is q^(k*e) for either sign of e, with no inversion."""
+
+    def no_canon(*args):
+        raise AssertionError("_canon called")
+
+    monkeypatch.setattr(qfield, "_canon", no_canon)
+    for k in range(-3, 4):
+        for e in range(-6, 0):
+            assert _triple(qpow(k) ** e) == (k * e, (1,), (1,))
+
+
 def test_qpow_cache_is_bounded(monkeypatch):
     """With a small cap the cache is emptied whenever it is full; every
     q^k is canonical whether built afresh or read back."""

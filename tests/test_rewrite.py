@@ -11,7 +11,7 @@ from qheis.errors import (
     PresentationError,
     UnknownGenerator,
 )
-from qheis.presets import S_ORDERS, make_Dq, make_Oq, make_S, make_Uq, params
+from qheis.presets import S_ORDERS, make_D_split, make_Dq, make_Oq, make_S, make_Uq, params
 from qheis.qfield import ONE, qpow
 from qheis.rewrite import Presentation, RewriteRule, substitute
 from qheis.sampling import random_element
@@ -306,35 +306,6 @@ def test_specialization_commutes_with_multiplication(mn_params):
         assert ev(dq.multiply(x, y)) == dq0.multiply(ev(x), ev(y))
 
 
-def test_debug_measure_assertion(p11, monkeypatch):
-    monkeypatch.setenv("QHEIS_DEBUG", "1")
-    make_Dq.cache_clear()
-    dq = make_Dq(p11)
-    assert dq._debug
-    rng = random.Random(37)
-    for _ in range(50):
-        word = [rng.choice(dq.signed_letters()) for _ in range(4)]
-        dq._reduce(1, list(word))
-    monkeypatch.delenv("QHEIS_DEBUG")
-    make_Dq.cache_clear()
-
-
-def test_debug_measure_assertion_negative_control(p11, monkeypatch):
-    """With a measure that never decreases, the debug check fires on a pure
-    q-commutation swap and on the branches of a tail rule alike."""
-    base = make_Dq(p11)
-    monkeypatch.setenv("QHEIS_DEBUG", "1")
-    dq = Presentation(base.table, base.rules)
-    assert dq._debug
-    monkeypatch.setattr(dq, "_measure", lambda word: (0, 0, 0))
-    i = dq.index
-    swap_word = [(i["b"], 1), (i["a"], 1)]  # b*a = q^-n a*b
-    tail_word = [(i["E"], 1), (i["c"], 1)]  # E*c = c*E + q^-1 K*a^-1
-    for word in (swap_word, tail_word):
-        with pytest.raises(AssertionError, match="termination measure"):
-            dq._reduce(1, word)
-
-
 # ---------------------------------------------------------------------------
 # tail rules on whole blocks: g^a*h^b spliced in from the block table
 
@@ -445,24 +416,83 @@ def test_block_table_is_bounded(p11, monkeypatch):
     assert got == expected
 
 
-def test_debug_measure_assertion_on_spliced_blocks(p11, monkeypatch):
-    """With QHEIS_DEBUG set every spliced branch must lower the termination
-    measure; a measure that never decreases fails on a splice."""
-    base_dq, base_s = make_Dq(p11), make_S(p11, S_ORDERS["J1"])
-    monkeypatch.setenv("QHEIS_DEBUG", "1")
-    dq = Presentation(base_dq.table, base_dq.rules)
-    s = Presentation(base_s.table, base_s.rules)
-    assert dq._debug and s._debug
-    cases = [
-        (dq, base_dq, [("E", 5), ("c", 5), ("F", 4), ("b", 4)]),
-        (s, base_s, [("cp", 5), ("bp", 5), ("Fp", 5), ("Ep", 5)]),
+# ---------------------------------------------------------------------------
+# the premises of the termination order (degree, inversions): every tail is
+# of lower degree than its pair, and a kept block g^a*h^b has normal words
+# whose only one of full degree is h^b*g^a, so a splice lowers the order
+
+
+def _word_degree(pres, word):
+    return sum(pres.table.degrees[i] * e for i, e in word if e > 0)
+
+
+def _order_violations(pres):
+    """The tails and kept blocks of `pres` that break those premises."""
+    bad = []
+    degs = pres.table.degrees
+    for (g, h), rule in pres.rules.items():
+        if any(pres.degree_of(m) >= degs[g] + degs[h] for m, _ in rule.tail):
+            bad.append(("tail", g, h))
+    for (g, a, h, b), block in pres._blocks.items():
+        words = [w for w, _ in block]
+        if not all(
+            all(e for _, e in w) and all(x[0] < y[0] for x, y in zip(w, w[1:]))
+            for w in words
+        ):
+            bad.append(("not normal", g, a, h, b))
+        full = a * degs[g] + b * degs[h]
+        if [w for w in words if _word_degree(pres, w) >= full] != [[(h, b), (g, a)]]:
+            bad.append(("full degree", g, a, h, b))
+    return bad
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "q3/2"])
+@pytest.mark.parametrize("mn", [(1, 1), (2, -3), (-1, 2)], ids=lambda mn: f"m{mn[0]}n{mn[1]}")
+def test_tails_and_kept_blocks_lower_the_termination_order(mn, q0):
+    """Dq, D_split and S in all four orders, after random block words."""
+    p = params(*mn)
+    split = make_D_split(p) if q0 is None else make_D_split(p).specialize(q0)
+    rng = random.Random(61)
+    blocks = 0
+    for pres in _block_presentations(p, q0) + [split]:
+        pres = pres.map_scalars(lambda s: s)
+        for _ in range(6):
+            pres.normal_form(_random_block_word(pres, rng))
+        blocks += len(pres._blocks)
+        assert _order_violations(pres) == []
+    assert blocks
+
+
+def test_order_premises_fail_on_mutant_tails_and_blocks(p11):
+    """A block entry holding the unreduced g^a*h^b, one whose leading word
+    is of higher degree, and a tail of full degree each break a premise."""
+    dq = make_Dq(p11).map_scalars(lambda s: s)
+    dq.normal_form([("E", 2), ("c", 3)])
+    (key, block), = dq._blocks.items()
+    g, a, h, b = key
+    assert _order_violations(dq) == []
+    mutants = [
+        block + [([(g, a), (h, b)], 1)],
+        [([(h, b), (g, a + 1)], c) if w == [(h, b), (g, a)] else (w, c) for w, c in block],
     ]
-    for pres, base, word in cases:
-        assert pres.normal_form(word) == base.normal_form(word, "right")
-        assert pres._blocks
-    i = dq.index
-    block_word = [(i["E"], 5), (i["c"], 5)]
-    assert (i["E"], 5, i["c"], 5) in dq._blocks
-    monkeypatch.setattr(dq, "_measure", lambda word: (0, 0, 0))
-    with pytest.raises(AssertionError, match="termination measure"):
-        dq._reduce(1, block_word)
+    for mutant in mutants:
+        dq._blocks[key] = mutant
+        assert _order_violations(dq)
+    dq._blocks[key] = block
+    rule = dq.rules[(g, h)]
+    dq.rules[(g, h)] = RewriteRule(g, h, rule.swap, rule.tail + (((0,) * 6, 1),))
+    assert _order_violations(dq) == []
+    full = tuple(1 if i in (g, h) else 0 for i in range(6))
+    dq.rules[(g, h)] = RewriteRule(g, h, rule.swap, rule.tail + ((full, 1),))
+    assert _order_violations(dq) == [("tail", g, h)]
+
+
+def test_full_degree_tail_rejected():
+    """y*x = x*y + x^2: the tail is of the degree of the pair it reorders."""
+    with pytest.raises(PresentationError, match="tail degree not below the reordered pair"):
+        Presentation.from_relations(
+            names=("x", "y"),
+            invertible=(False, False),
+            degrees=(1, 1),
+            relations=[("y", "x", ONE, [(ONE, [("x", 2)])])],
+        )
