@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .errors import QheisError
-from .expr import context_for, elaborate_element, parse, parse_scalar
+from .expr import ALGEBRAS, context_for, elaborate_element, parse, parse_scalar
 from .hopf import DualPairing, hopf_Oq, hopf_Uq
 from .ideals import (
     build_spec_catalog,
@@ -116,15 +116,14 @@ def build_parser():
     )
     subs = ap.add_subparsers(dest="command", required=True)
 
-    presets = ("Oq", "Uq", "Dq", "S", "torus")
     nf = subs.add_parser("nf", help="normal form of an expression")
     _add_common(nf, "q", "order")
-    nf.add_argument("--algebra", default="Dq", choices=presets)
+    nf.add_argument("--algebra", default="Dq", choices=tuple(ALGEBRAS))
     nf.add_argument("expr")
 
     comm = subs.add_parser("comm", help="commutator of two expressions")
     _add_common(comm, "q", "order")
-    comm.add_argument("--algebra", default="Dq", choices=presets)
+    comm.add_argument("--algebra", default="Dq", choices=tuple(ALGEBRAS))
     comm.add_argument("expr1")
     comm.add_argument("expr2")
 
@@ -181,7 +180,7 @@ def build_parser():
     ):
         sp = module_subs.add_parser(action)
         _add_common(sp, *options, **defaults)
-        sp.add_argument("--family", default="J1", choices=("J1", "J2", "J3", "J4"))
+        sp.add_argument("--family", default="J1", choices=tuple(S_ORDERS))
         sp.add_argument("--sigma", default="0")
         sp.add_argument("--tau", default="0")
         if has_expr:

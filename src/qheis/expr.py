@@ -7,9 +7,10 @@ Grammar (whitespace insensitive):
     factor := atom ('^' signedInt)?
     atom   := ident | int | 'q' | '(' expr ')'
 
-Idents resolve against the active preset: generator spellings, the inverse
-spellings 'ai' and 'Ki', and the macro symbols (primed names and phi1/phi2
-inside Dq, phi1/phi2 inside S).  Division requires an invertible divisor.
+Idents resolve against the active preset: every generator by its name,
+'<name>i' for each invertible generator of degree 0 (ai, Ki), and the macro
+symbols (primed names and phi1/phi2 inside Dq, phi1/phi2 inside S).
+Division requires an invertible divisor.
 """
 
 from __future__ import annotations
@@ -223,61 +224,41 @@ class Context:
         return self.scalar_one * v
 
 
+# each algebra name to its presentation at (params, S order key)
+ALGEBRAS = {
+    "Oq": lambda p, key: make_Oq(p),
+    "Uq": lambda p, key: make_Uq(p),
+    "Dq": lambda p, key: make_Dq(p),
+    "S": lambda p, key: make_S(p, S_ORDERS[key]),
+    "torus": lambda p, key: torus_of_S_quotient(p),
+}
+
+
 def context_for(algebra: str, p: AlgebraParams, order_key="J1", q0=None) -> Context:
-    """Build the elaboration context for one of the named presets."""
-    q_value = qpow(1) if q0 is None else Fraction(q0)
-    one = QScalar(1) if q0 is None else Fraction(1)
-
-    def maybe_specialize(pres):
-        return pres if q0 is None else pres.specialize(Fraction(q0))
-
-    if algebra == "Oq":
-        pres = maybe_specialize(make_Oq(p))
-        values = {
-            "a": pres.gen("a"),
-            "ai": pres.gen("a", -1),
-            "b": pres.gen("b"),
-            "c": pres.gen("c"),
-        }
-    elif algebra == "Uq":
-        pres = maybe_specialize(make_Uq(p))
-        values = {
-            "K": pres.gen("K"),
-            "Ki": pres.gen("K", -1),
-            "E": pres.gen("E"),
-            "F": pres.gen("F"),
-        }
-    elif algebra == "Dq":
-        pres = maybe_specialize(make_Dq(p))
-        ps = primed_in_D(p)
-
-        def conv(el: Element) -> Element:
-            if q0 is None:
-                return el
-            return Element(pres, {m: evaluate(c, q0) for m, c in el.terms.items()})
-
-        macros = {**ps.images, "phi1": ps.phi1, "phi2": ps.phi2}
-        values = {
-            "a": pres.gen("a"),
-            "ai": pres.gen("a", -1),
-            "b": pres.gen("b"),
-            "c": pres.gen("c"),
-            "K": pres.gen("K"),
-            "Ki": pres.gen("K", -1),
-            "E": pres.gen("E"),
-            "F": pres.gen("F"),
-            **{name: conv(el) for name, el in macros.items()},
-        }
-    elif algebra == "S":
-        pres = maybe_specialize(make_S(p, S_ORDERS[order_key]))
-        values = {name: pres.gen(name) for name in pres.table.names}
-        values["phi1"], values["phi2"] = phi_elements(pres)
-    elif algebra == "torus":
-        pres = maybe_specialize(torus_of_S_quotient(p))
-        values = {name: pres.gen(name) for name in pres.table.names}
-    else:
+    """Build the elaboration context for one of the named presets: every
+    generator by its name, `<name>i` for each invertible generator of
+    degree 0, then the macros of Dq and S."""
+    if algebra not in ALGEBRAS:
         raise UnknownGenerator(f"unknown algebra {algebra!r}")
-    return Context(pres, values, q_value, one)
+    pres = ALGEBRAS[algebra](p, order_key)
+    if q0 is not None:
+        pres = pres.specialize(Fraction(q0))
+    t = pres.table
+    values = {name: pres.gen(name) for name in t.names}
+    for name, inv, deg in zip(t.names, t.invertible, t.degrees):
+        if inv and deg == 0:
+            values[f"{name}i"] = pres.gen(name, -1)
+    if algebra == "Dq":
+        ps = primed_in_D(p)
+        for name, el in {**ps.images, "phi1": ps.phi1, "phi2": ps.phi2}.items():
+            if q0 is not None:
+                el = Element(pres, {m: evaluate(c, q0) for m, c in el.terms.items()})
+            values[name] = el
+    elif algebra == "S":
+        values["phi1"], values["phi2"] = phi_elements(pres)
+    if q0 is None:
+        return Context(pres, values)
+    return Context(pres, values, Fraction(q0), Fraction(1))
 
 
 def elaborate_element(node, ctx: Context) -> Element:

@@ -301,15 +301,3 @@ def torus_of_S_quotient(p: AlgebraParams) -> Presentation:
             (qpow(2 * p.m * p.n), one),
         ),
     )
-
-
-def structural_matrix_S(p: AlgebraParams):
-    """4x4 torus matrix on (phi1, cp, bp, phi2) used by the localization model."""
-    m, n = p.m, p.n
-    one = qpow(0)
-    return (
-        (one, qpow(2 * m * m), one, one),
-        (qpow(-2 * m * m), one, qpow(-2 * m * n), one),
-        (one, qpow(2 * m * n), one, qpow(2 * n * n)),
-        (one, one, qpow(-2 * n * n), one),
-    )

@@ -172,7 +172,15 @@ class Presentation:
         # exponent k of each swap q^k when every swap is a q-power, else
         # the swap itself (a specialized presentation)
         pure = {key: r.swap for key, r in self.rules.items() if not r.tail}
-        self._has_tails = len(pure) < len(self.rules)
+        # the (word, coeff) pairs a one-letter rewrite of a tail rule's
+        # later*earlier splices in: earlier*later with the swap, then the tail
+        self._rewrites = {
+            key: [([(r.earlier, 1), (r.later, 1)], r.swap)]
+            + [(self._word_of_mono(m), c) for m, c in r.tail]
+            for key, r in self.rules.items()
+            if r.tail
+        }
+        self._has_tails = bool(self._rewrites)
         self._qpowers = all(
             s.__class__ is QScalar and s.is_q_power() for s in pure.values()
         )
@@ -416,26 +424,17 @@ class Presentation:
                         "tail rule on a negative power: "
                         f"{self.table.names[g]}^{a}*{self.table.names[h]}^{b}"
                     )
-                head, rest = w[:pos], w[pos + 2:]
                 if blocks is not None and a > 1 and b > 1:
-                    block = blocks.get((g, a, h, b))
-                    if block is None:
-                        block = self._block(g, a, h, b)
-                    branches = [(c * bc, merged(head + bw + rest)) for bw, bc in block]
+                    words = blocks.get((g, a, h, b))
+                    if words is None:
+                        words = self._block(g, a, h, b)
+                    head, rest = w[:pos], w[pos + 2:]
                 else:
-                    branches = [
-                        (
-                            c * rule.swap,
-                            merged(head + [(g, a - 1), (h, 1), (g, 1), (h, b - 1)] + rest),
-                        )
-                    ]
-                    for tmono, tc in rule.tail:
-                        tw = self._word_of_mono(tmono)
-                        branches.append(
-                            (c * tc, merged(head + [(g, a - 1)] + tw + [(h, b - 1)] + rest))
-                        )
+                    words = self._rewrites[(g, h)]
+                    head, rest = w[:pos] + [(g, a - 1)], [(h, b - 1)] + w[pos + 2:]
                 live = []
-                for bc, bw in branches:
+                for bw, bc in words:
+                    bc, bw = c * bc, merged(head + bw + rest)
                     if descent(bw, "left") < 0:
                         self._collect(out, bc, bw)
                     else:
@@ -670,21 +669,9 @@ def substitute(
         for i in order:
             e = mono[i]
             if e:
-                img = _image_power(images, target, cache, names[i], e)
+                img = cache.get((names[i], e))
+                if img is None:
+                    img = cache[(names[i], e)] = target.power(images[names[i]], e)
                 acc = img if acc is None else target.multiply(acc, img)
         add_scaled(out, (target.one() if acc is None else acc).terms, coeff)
     return Element(target, out)
-
-
-def _image_power(images, target, cache, name, e):
-    """images[name]^e in `target`, kept in `cache` under (name, e)."""
-    img = cache.get((name, e))
-    if img is None:
-        if e == -1:
-            img = images[name].inverse_monomial()
-        elif e < 0:
-            img = target.power(_image_power(images, target, cache, name, -1), -e)
-        else:
-            img = target.power(images[name], e)
-        cache[(name, e)] = img
-    return img

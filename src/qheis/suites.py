@@ -254,7 +254,7 @@ def suite_modules(cfg: RunConfig):
     p = cfg.params
     records = []
     rng = random.Random(cfg.seed)
-    for family in ("J1", "J2", "J3", "J4"):
+    for family in S_ORDERS:
         for sigma, tau in SIGMA_TAU_GRID:
             mod = QuotientModule(family, sigma, tau, p)
             ok_assoc = True
@@ -338,7 +338,7 @@ GROWTH_D_MAX = 24
 def suite_growth(cfg: RunConfig):
     p = cfg.params
     records = []
-    for family in ("J1", "J2", "J3", "J4"):
+    for family in S_ORDERS:
         mod = QuotientModule(family, ZERO, ZERO, p)
         slope = growth_exponent(mod, GROWTH_D_MAX)
         records.append(

@@ -373,3 +373,58 @@ def test_module_act_parenthesizes_multi_term_coefficients():
     assert rec["vector"] == (
         "1*cp^2.v + q^-5*bp^1*cp^2.v + (1 + q^2 + q^4)*bp^3*cp^2.v"
     )
+
+
+@pytest.mark.parametrize(
+    "family, scalars, m, n",
+    [
+        ("zeta", "2,q,-3", 1, 1),
+        ("zeta2", "2,q", 1, 1),
+        ("zeta2", "1/2,q^2", 2, -3),
+        ("xi34", "2,-q", 1, 1),
+        ("dual-embed", None, 1, 1),
+        ("uq-to-oq", None, 1, 1),
+    ],
+)
+def test_aut_families_check_ok(family, scalars, m, n):
+    argv = ["aut", "check", "--family", family, "--m", str(m), f"--n={n}"]
+    if scalars is not None:
+        argv += ["--scalars", scalars]
+    code, out = run_cli(argv)
+    (rec,) = lines_of(out)
+    assert code == 0 and rec["ok"] is True and rec["failures"] == []
+    assert rec["family"] == family and rec["params"] == {"m": m, "n": n}
+
+
+@pytest.mark.parametrize(
+    "family, scalars",
+    [("zeta", "2,q"), ("zeta", None), ("zeta2", "2"), ("xi34", "1,2,3")],
+)
+def test_aut_wrong_number_of_scalars_exits_2(family, scalars, capsys):
+    argv = ["aut", "check", "--family", family]
+    if scalars is not None:
+        argv += ["--scalars", scalars]
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "q, coeff", [(None, "q^-2"), ("3/2", "4/9")], ids=["symbolic", "q3/2"]
+)
+def test_nf_on_the_torus(q, coeff):
+    argv = ["nf", "--algebra", "torus", "Fp*Ep^-1*Fp"]
+    if q is not None:
+        argv += ["--q", q]
+    code, out = run_cli(argv)
+    (rec,) = lines_of(out)
+    assert code == 0
+    assert rec["terms"] == [{"coeff": coeff, "mono": {"Ep": -1, "Fp": 2}}]
+    assert rec["text"] == f"{coeff}*Ep^-1*Fp^2"
+
+
+def test_module_probe_of_degree_zero_is_undetermined():
+    """Multipliers of degree 0 only rescale Ep.v, which cannot reach v."""
+    code, out = run_cli(["module", "probe", "--family", "J1", "--deg", "0", "Ep"])
+    (rec,) = lines_of(out)
+    assert code == 0 and rec["verdict"] == "Undetermined"

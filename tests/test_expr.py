@@ -18,7 +18,7 @@ from qheis.expr import (
     parse_scalar,
     to_text,
 )
-from qheis.presets import make_Dq, primed_in_D
+from qheis.presets import make_Dq, params, primed_in_D
 from qheis.qfield import ONE, QScalar, qpow
 from qheis.sampling import random_element
 
@@ -121,3 +121,32 @@ def test_rational_q_mode(p11):
     k_mono = tuple(1 if nm == "K" else (-1 if nm == "a" else 0) for nm in names)
     assert terms[k_mono] == tail_coeff
     assert parse_scalar("q") == qpow(1)
+
+
+@pytest.mark.parametrize(
+    "algebra, symbols",
+    [
+        ("Oq", {"a", "ai", "b", "c"}),
+        ("Uq", {"K", "Ki", "E", "F"}),
+        (
+            "Dq",
+            {"F", "c", "K", "Ki", "a", "ai", "E", "b"}
+            | {"Ep", "Fp", "bp", "cp", "phi1", "phi2"},
+        ),
+        ("S", {"Ep", "Fp", "bp", "cp", "phi1", "phi2"}),
+        ("torus", {"Ep", "Fp"}),
+    ],
+)
+@pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "q3/2"])
+def test_symbols_follow_the_spelling_rule(algebra, symbols, q0):
+    """Every generator by its name, `<name>i` for each invertible generator
+    of degree 0 (the torus generators have degree 1, so none), then the
+    macros of Dq and S, all in the context's presentation."""
+    ctx = context_for(algebra, params(2, -3), q0=q0)
+    assert set(ctx.values) == symbols
+    assert all(v.pres is ctx.pres for v in ctx.values.values())
+    for name, v in ctx.values.items():
+        if name.endswith("i") and name[:-1] in ctx.pres.index:
+            assert ctx.pres.multiply(v, ctx.values[name[:-1]]) == ctx.pres.one()
+    with pytest.raises(UnknownGenerator):
+        elaborate_element(parse("Epi"), ctx)

@@ -18,7 +18,6 @@ from qheis.presets import (
     params,
     primed_in_D,
     recombine_D,
-    structural_matrix_S,
 )
 from qheis.qfield import ONE, qpow
 from qheis.rewrite import substitute
@@ -261,8 +260,15 @@ def test_quantum_torus_identity_matrix_sorts():
 
 
 def test_structural_matrix_four_generators(p11):
-    m = p11.m
-    q4 = structural_matrix_S(p11)
+    m, n = p11.m, p11.n
+    one = qpow(0)
+    # the torus matrix on (phi1, cp, bp, phi2) of the localization model
+    q4 = (
+        (one, qpow(2 * m * m), one, one),
+        (qpow(-2 * m * m), one, qpow(-2 * m * n), one),
+        (one, qpow(2 * m * n), one, qpow(2 * n * n)),
+        (one, one, qpow(-2 * n * n), one),
+    )
     torus = make_quantum_torus(("phi1", "cp", "bp", "phi2"), q4)
     # c'*phi1 reorders with the inverse of the displayed phi1*c' scalar
     got = torus.normal_form([("cp", 1), ("phi1", 1)])

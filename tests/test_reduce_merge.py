@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qheis.presets import S_ORDERS, make_Dq, make_Oq, make_S, make_Uq, params
+from qheis.qfield import ONE, qpow
 from qheis.rewrite import Presentation
 
 
@@ -106,3 +107,25 @@ def test_ladder_word_matches_letter_by_letter_product(case):
         for _ in range(e):
             acc = fresh.multiply(fresh.gen(name), acc)
     assert acc == left
+
+
+def test_pending_words_that_cancel_are_dropped():
+    """With y*x = q^-1 x*y - z, z*x = q x*z - x and z*y = y*z + y, the
+    word z*y*x leaves y*z*x and y*x pending; y*z*x then gives y*x*z and
+    -y*x, which cancels the pending y*x before it is reduced.  The
+    presentation is not confluent, but the stack reducer takes the same
+    one-letter route from the leftmost descent, so the two agree."""
+    pres = Presentation.from_relations(
+        ("x", "y", "z"),
+        (False,) * 3,
+        (1,) * 3,
+        [
+            ("y", "x", qpow(-1), [(-ONE, [("z", 1)])]),
+            ("z", "x", qpow(1), [(-ONE, [("x", 1)])]),
+            ("z", "y", ONE, [(ONE, [("y", 1)])]),
+        ],
+    )
+    word = [(2, 1), (1, 1), (0, 1)]
+    got = pres._reduce(1, list(word), "left")
+    assert got == reference_reduce(pres, 1, list(word))
+    assert got == {(1, 1, 1): ONE, (0, 0, 2): -qpow(1)}
