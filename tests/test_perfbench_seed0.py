@@ -1,6 +1,6 @@
 """The benchmark's first requests at seed 0 still give the recorded bytes.
 
-`perfbench/workloads.py` is loaded by file path, read-only, as in
+`perfbench/workloads.py` is loaded by file path, read-only, with the loader of
 `test_perfbench_hooks.py`.  After its cache reset, the first round of
 verify-suites, the first round of nf-words and the first ten requests of
 ideal-catalog run at seed 0, and the first 16 hex digits of the SHA-256 of
@@ -9,29 +9,17 @@ so that a change of output bytes fails here and not only in a benchmark run.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _workloads(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from test_perfbench_hooks import PERFBENCH, _load
 
 
 @pytest.mark.parametrize(
     "name, count", [("verify-suites", 4), ("nf-words", 25), ("ideal-catalog", 10)]
 )
 def test_first_requests_match_the_recorded_seed0_digests(monkeypatch, name, count):
-    workloads = _workloads(monkeypatch)
+    workloads = _load("workloads", monkeypatch)
     expected = json.loads((PERFBENCH / "expected_seed0.json").read_text())
     assert expected["seed"] == 0
     workloads.reset_caches()
