@@ -1,8 +1,10 @@
 """Command-line surface: algebra arithmetic, Hopf operations, ideal and
 module probes, automorphism checks, and the verification-suite runner.
 
-Output is JSON lines, one object per result, deterministic for a fixed
-seed.  Exit status is 0 exactly when every emitted check passed.
+Each command is a handler `(args, p) -> records` that its parser names
+with `set_defaults(run=...)`.  Output is the records as JSON lines,
+deterministic for a fixed seed.  Exit status is 1 when a record has
+"ok": false, else 0, and 2 for usage and input errors.
 """
 
 from __future__ import annotations
@@ -17,13 +19,8 @@ from fractions import Fraction
 from .errors import QheisError
 from .expr import ALGEBRAS, context_for, elaborate_element, parse, parse_scalar
 from .hopf import DualPairing, hopf_Oq, hopf_Uq
-from .ideals import (
-    build_spec_catalog,
-    catalog_generators,
-    containment_probe,
-    ideal_span,
-    spec_diagram,
-)
+from .ideals import build_spec_catalog, catalog_generators, containment_probe, ideal_span
+from .ideals import spec_diagram
 from .morphisms import check_morphism, family
 from .presets import S_ORDERS, params
 from .qfield import evaluate
@@ -32,14 +29,14 @@ from .smodules import QuotientModule, WeightModule, cyclicity_probe, growth_expo
 from .suites import RunConfig, SUITE_NAMES, run_suites
 
 
+def _mono_json(pres, mono):
+    return {pres.table.names[i]: e for i, e in enumerate(mono) if e}
+
+
 def _element_json(el: Element):
-    pres = el.pres
     coeffs = []
-    text = pres.render_element(el, coeffs)
-    terms = [
-        {"coeff": ctext, "mono": {pres.table.names[i]: e for i, e in enumerate(mono) if e}}
-        for mono, ctext in coeffs
-    ]
+    text = el.pres.render_element(el, coeffs)
+    terms = [{"coeff": ctext, "mono": _mono_json(el.pres, mono)} for mono, ctext in coeffs]
     return {"terms": terms, "text": text}
 
 
@@ -51,22 +48,13 @@ def _tensor_json(pres, halves):
         halves, key=lambda k: (pres.term_sort_key(k[0]), pres.term_sort_key(k[1]))
     ):
         c = halves[(ml, mr)]
-        terms.append(
-            {
-                "coeff": str(c),
-                "left": {pres.table.names[i]: e for i, e in enumerate(ml) if e},
-                "right": {pres.table.names[i]: e for i, e in enumerate(mr) if e},
-            }
-        )
+        left, right = _mono_json(pres, ml), _mono_json(pres, mr)
+        terms.append({"coeff": str(c), "left": left, "right": right})
         coeff = "" if c == 1 else f"{c} * "
         lt = pres.render_monomial(ml) or "1"
         rt = pres.render_monomial(mr) or "1"
         bits.append(f"{coeff}({lt}) (*) ({rt})")
     return {"terms": terms, "text": " + ".join(bits) or "0"}
-
-
-def _emit(out, record):
-    out.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # options a command takes only when it reads them
@@ -84,8 +72,8 @@ _OPTIONS = {
 
 
 def _add_common(sub, *options, **defaults):
-    """--m, --n and the named `options`; `defaults` replaces the table's
-    default of an option."""
+    """--m, --n and the named `options`; `defaults` holds `run`, the
+    command's handler, and replaces the table's default of an option."""
     sub.add_argument("--m", type=int, default=1)
     sub.add_argument("--n", type=int, default=1)
     for name in options:
@@ -93,17 +81,8 @@ def _add_common(sub, *options, **defaults):
     sub.set_defaults(**defaults)
 
 
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QHEIS_SEED")
-    return int(env) if env else 0
-
-
 def _q0_of(args):
-    if args.q is None:
-        return None
-    return Fraction(args.q)
+    return None if args.q is None else Fraction(args.q)
 
 
 @functools.cache
@@ -117,44 +96,47 @@ def build_parser():
     subs = ap.add_subparsers(dest="command", required=True)
 
     nf = subs.add_parser("nf", help="normal form of an expression")
-    _add_common(nf, "q", "order")
+    _add_common(nf, "q", "order", run=_cmd_nf)
     nf.add_argument("--algebra", default="Dq", choices=tuple(ALGEBRAS))
     nf.add_argument("expr")
 
     comm = subs.add_parser("comm", help="commutator of two expressions")
-    _add_common(comm, "q", "order")
+    _add_common(comm, "q", "order", run=_cmd_comm)
     comm.add_argument("--algebra", default="Dq", choices=tuple(ALGEBRAS))
     comm.add_argument("expr1")
     comm.add_argument("expr2")
 
-    for verb, help_text in (
-        ("delta", "coproduct"),
-        ("counit", "counit"),
-        ("antipode", "antipode"),
+    for verb, help_text, fields in (
+        ("delta", "coproduct", lambda h, el: _tensor_json(h.pres, h.split_coproduct(el))),
+        ("counit", "counit", lambda h, el: {"value": str(h.counit(el))}),
+        ("antipode", "antipode", lambda h, el: _element_json(h.antipode(el))),
     ):
         sp = subs.add_parser(verb, help=help_text)
-        _add_common(sp)
+        _add_common(sp, run=functools.partial(_cmd_hopf, fields))
         sp.add_argument("--algebra", default="Oq", choices=("Oq", "Uq"))
         sp.add_argument("expr")
 
-    pair = subs.add_parser("pair", help="dual pairing <u, x>")
-    _add_common(pair)
-    pair.add_argument("uexpr")
-    pair.add_argument("xexpr")
-
-    act = subs.add_parser("act", help="module-algebra action u . x")
-    _add_common(act)
-    act.add_argument("uexpr")
-    act.add_argument("xexpr")
+    for verb, help_text, fields in (
+        ("pair", "dual pairing <u, x>", lambda dp, u, x: {"value": str(dp.pair(u, x))}),
+        ("act", "module-algebra action u . x", lambda dp, u, x: _element_json(dp.act(u, x))),
+    ):
+        sp = subs.add_parser(verb, help=help_text)
+        _add_common(sp, run=functools.partial(_cmd_dual, fields))
+        sp.add_argument("uexpr")
+        sp.add_argument("xexpr")
 
     smash = subs.add_parser("smash", help="verify the smash-product relations")
-    _add_common(smash)
+    _add_common(smash, run=_cmd_smash)
 
     ideal = subs.add_parser("ideal", help="ideal span/membership probes in S")
     ideal_subs = ideal.add_subparsers(dest="action", required=True)
-    for action, has_expr in (("span", False), ("member", True), ("contain", False)):
+    for action, has_expr, run in (
+        ("span", False, _cmd_ideal_span),
+        ("member", True, _cmd_ideal_member),
+        ("contain", False, _cmd_ideal_contain),
+    ):
         sp = ideal_subs.add_parser(action)
-        _add_common(sp, "q", "deg")
+        _add_common(sp, "q", "deg", run=run)
         sp.add_argument("--ideal", default=None, help="catalog name, e.g. I1 or J1")
         sp.add_argument("--gens", default=None, help="comma-separated generator exprs")
         sp.add_argument("--side", default="twoSided", choices=("left", "twoSided"))
@@ -166,17 +148,18 @@ def build_parser():
 
     spec = subs.add_parser("spec", help="prime spectrum catalog probes")
     spec_subs = spec.add_subparsers(dest="action", required=True)
-    for action in ("catalog", "diagram"):
+    for action, run in (("catalog", _cmd_spec_catalog), ("diagram", _cmd_spec_diagram)):
         sp = spec_subs.add_parser(action)
-        _add_common(sp, "deg")
+        _add_common(sp, "deg", run=run)
 
     module = subs.add_parser("module", help="quotient/weight module operations")
     module_subs = module.add_subparsers(dest="action", required=True)
     for action, has_expr, options, defaults in (
-        ("act", True, ("vec",), {}),
-        ("probe", True, ("deg",), {"deg": 6}),
-        ("growth", False, ("deg", "weight", "eigenvalue", "window"), {"deg": 24}),
-        ("support", False, ("kind", "eigenvalue", "window"), {}),
+        ("act", True, ("vec",), {"run": _cmd_module_act}),
+        ("probe", True, ("deg",), {"run": _cmd_module_probe, "deg": 6}),
+        ("growth", False, ("deg", "weight", "eigenvalue", "window"),
+         {"run": _cmd_module_growth, "deg": 24}),
+        ("support", False, ("kind", "eigenvalue", "window"), {"run": _cmd_module_support}),
     ):
         sp = module_subs.add_parser(action)
         _add_common(sp, *options, **defaults)
@@ -189,24 +172,23 @@ def build_parser():
     aut = subs.add_parser("aut", help="automorphism family checks")
     aut_subs = aut.add_subparsers(dest="action", required=True)
     sp = aut_subs.add_parser("check")
-    _add_common(sp)
+    _add_common(sp, run=_cmd_aut_check)
     sp.add_argument("--family", required=True)
     sp.add_argument("--matrix", default=None, help="a,b,c,d for rho")
     sp.add_argument("--scalars", default=None, help="comma-separated scalars")
     sp.add_argument("--i", type=int, default=None, help="index for xi")
 
     verify = subs.add_parser("verify", help="run verification suites")
-    _add_common(verify, "seed", "deg", "window")
+    _add_common(verify, "seed", "deg", "window", run=_cmd_verify)
     verify.add_argument("--suite", default="all", help="suite name or 'all'")
     verify.add_argument("--samples", type=int, default=30)
     return ap
 
 
 def main(argv=None) -> int:
-    out = sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args, out)
+        return _dispatch(args, sys.stdout)
     except QheisError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
@@ -216,140 +198,44 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, out) -> int:
-    p = params(args.m, args.n)
-    cmd = args.command
+    """Write the records of the command's handler; 1 when one failed."""
+    records = args.run(args, params(args.m, args.n))
+    for r in records:
+        out.write(json.dumps(r, sort_keys=True) + "\n")
+    return 1 if any(not r.get("ok", True) for r in records) else 0
 
-    if cmd == "nf":
-        ctx = context_for(args.algebra, p, args.order, q0=_q0_of(args))
-        el = elaborate_element(parse(args.expr), ctx)
-        _emit(out, {"command": "nf", "input": args.expr, **_element_json(el)})
-        return 0
 
-    if cmd == "comm":
-        ctx = context_for(args.algebra, p, args.order, q0=_q0_of(args))
-        x = elaborate_element(parse(args.expr1), ctx)
-        y = elaborate_element(parse(args.expr2), ctx)
-        el = ctx.pres.commutator(x, y)
-        _emit(out, {"command": "comm", **_element_json(el)})
-        return 0
+def _cmd_nf(args, p):
+    ctx = context_for(args.algebra, p, args.order, q0=_q0_of(args))
+    el = elaborate_element(parse(args.expr), ctx)
+    return [{"command": "nf", "input": args.expr, **_element_json(el)}]
 
-    if cmd in ("delta", "counit", "antipode"):
-        ctx = context_for(args.algebra, p)
-        h = hopf_Oq(p) if args.algebra == "Oq" else hopf_Uq(p)
-        el = elaborate_element(parse(args.expr), ctx)
-        if cmd == "delta":
-            _emit(out, {"command": "delta", **_tensor_json(h.pres, h.split_coproduct(el))})
-        elif cmd == "counit":
-            _emit(out, {"command": "counit", "value": str(h.counit(el))})
-        else:
-            _emit(out, {"command": "antipode", **_element_json(h.antipode(el))})
-        return 0
 
-    if cmd == "pair":
-        dp = DualPairing(p)
-        u = elaborate_element(parse(args.uexpr), context_for("Uq", p))
-        x = elaborate_element(parse(args.xexpr), context_for("Oq", p))
-        _emit(out, {"command": "pair", "value": str(dp.pair(u, x))})
-        return 0
+def _cmd_comm(args, p):
+    ctx = context_for(args.algebra, p, args.order, q0=_q0_of(args))
+    x = elaborate_element(parse(args.expr1), ctx)
+    y = elaborate_element(parse(args.expr2), ctx)
+    return [{"command": "comm", **_element_json(ctx.pres.commutator(x, y))}]
 
-    if cmd == "act":
-        dp = DualPairing(p)
-        u = elaborate_element(parse(args.uexpr), context_for("Uq", p))
-        x = elaborate_element(parse(args.xexpr), context_for("Oq", p))
-        _emit(out, {"command": "act", **_element_json(dp.act(u, x))})
-        return 0
 
-    if cmd == "smash":
-        dp = DualPairing(p)
-        ok = True
-        for r in dp.check_smash():
-            ok = ok and r["ok"]
-            _emit(out, {"command": "smash", **r})
-        return 0 if ok else 1
+def _cmd_hopf(fields, args, p):
+    """delta, counit and antipode: `fields(h, el)` is the record's body."""
+    ctx = context_for(args.algebra, p)
+    h = hopf_Oq(p) if args.algebra == "Oq" else hopf_Uq(p)
+    el = elaborate_element(parse(args.expr), ctx)
+    return [{"command": args.command, **fields(h, el)}]
 
-    if cmd == "ideal":
-        return _ideal_command(args, p, out)
 
-    if cmd == "spec":
-        cat = build_spec_catalog(p, degree_bound=args.deg)
-        if args.action == "catalog":
-            for name in cat.named():
-                _emit(
-                    out,
-                    {
-                        "command": "spec",
-                        "ideal": name,
-                        "dimension": cat.ideals[name].dimension,
-                        "degree_bound": args.deg,
-                    },
-                )
-            return 0
-        for edge in spec_diagram(cat):
-            _emit(out, {"command": "spec", **edge})
-        return 0
+def _cmd_dual(fields, args, p):
+    """pair and act: `fields(dp, u, x)` is the record's body."""
+    dp = DualPairing(p)
+    u = elaborate_element(parse(args.uexpr), context_for("Uq", p))
+    x = elaborate_element(parse(args.xexpr), context_for("Oq", p))
+    return [{"command": args.command, **fields(dp, u, x)}]
 
-    if cmd == "module":
-        return _module_command(args, p, out)
 
-    if cmd == "aut":
-        matrix = None
-        if args.matrix:
-            a, b, c, d = (int(x) for x in args.matrix.split(","))
-            matrix = ((a, b), (c, d))
-        scalars = (
-            [parse_scalar(s) for s in args.scalars.split(",")] if args.scalars else None
-        )
-        f = family(args.family, p, i=args.i, matrix=matrix, scalars=scalars)
-        report = check_morphism(f)
-        _emit(
-            out,
-            {
-                "command": "aut",
-                "family": args.family,
-                "params": {"m": p.m, "n": p.n},
-                "relations_checked": report.relations_checked,
-                "failures": [name for name, _ in report.failures],
-                "ok": report.ok,
-            },
-        )
-        return 0 if report.ok else 1
-
-    if cmd == "verify":
-        cfg = RunConfig(
-            m=args.m,
-            n=args.n,
-            seed=_seed_of(args),
-            deg=args.deg,
-            window=args.window,
-            samples=args.samples,
-        )
-        names = tuple(s.strip() for s in args.suite.split(","))
-        unknown = [s for s in names if s != "all" and s not in SUITE_NAMES]
-        if unknown:
-            print(f"error: unknown suite(s) {unknown}", file=sys.stderr)
-            return 2
-        records, ok = run_suites(names, cfg)
-        passed = sum(1 for r in records if r["ok"])
-        per_suite: dict = {}
-        for r in records:
-            _emit(out, r)
-            bucket = per_suite.setdefault(r["suite"], {"checks": 0, "passed": 0})
-            bucket["checks"] += 1
-            bucket["passed"] += int(r["ok"])
-        _emit(
-            out,
-            {
-                "summary": True,
-                "checks": len(records),
-                "passed": passed,
-                "failed": len(records) - passed,
-                "per_suite": per_suite,
-                "seed": cfg.seed,
-            },
-        )
-        return 0 if ok else 1
-
-    raise AssertionError(cmd)
+def _cmd_smash(args, p):
+    return [{"command": "smash", **r} for r in DualPairing(p).check_smash()]
 
 
 def _catalog_ideal(args, p, ctx, name):
@@ -365,115 +251,129 @@ def _catalog_ideal(args, p, ctx, name):
     return ideal_span(ctx.pres, gens[name], degree_bound=args.deg)
 
 
-def _ideal_command(args, p, out) -> int:
+def _ideal_of(args, p):
+    """The S context, the span the command names and its label."""
     ctx = context_for("S", p, q0=_q0_of(args))
     if args.gens:
         gens = [elaborate_element(parse(g), ctx) for g in args.gens.split(",")]
         ideal = ideal_span(ctx.pres, gens, side=args.side, degree_bound=args.deg)
-        label = args.gens
-    else:
-        name = args.ideal or "I1"
-        ideal = _catalog_ideal(args, p, ctx, name)
-        label = name
-    if args.action == "span":
-        _emit(
-            out,
-            {
-                "command": "ideal",
-                "action": "span",
-                "ideal": label,
-                "dimension": ideal.dimension,
-                "degree_bound": ideal.degree_bound,
-            },
-        )
-        return 0
-    if args.action == "member":
-        el = elaborate_element(parse(args.expr), ctx)
-        status = ideal.member(el)
-        _emit(
-            out,
-            {"command": "ideal", "action": "member", "ideal": label, "status": status},
-        )
-        return 0
-    other = _catalog_ideal(args, p, ctx, args.other or "I3")
-    report = containment_probe(ideal, other)
-    _emit(
-        out,
-        {
-            "command": "ideal",
-            "action": "contain",
-            "small": label,
-            "big": args.other or "I3",
-            "status": report.status,
-        },
-    )
-    return 0
+        return ctx, ideal, args.gens
+    name = args.ideal or "I1"
+    return ctx, _catalog_ideal(args, p, ctx, name), name
 
 
-def _module_command(args, p, out) -> int:
-    sigma = parse_scalar(args.sigma)
-    tau = parse_scalar(args.tau)
-    mod = QuotientModule(args.family, sigma, tau, p)
-    if args.action == "act":
-        ctx = context_for("S", p, order_key=args.family)
-        el = elaborate_element(parse(args.expr or "1"), ctx)
-        i, j = (int(x) for x in args.vec.split(","))
-        got = mod.act(el, mod.basis_vector(i, j))
-        _emit(
-            out,
-            {
-                "command": "module",
-                "action": "act",
-                "family": args.family,
-                "vector": mod.render_vector(got),
-            },
-        )
-        return 0
-    if args.action == "probe":
-        ctx = context_for("S", p, order_key=args.family)
-        el = elaborate_element(parse(args.expr or "1"), ctx)
-        w = mod.act(el, mod.cyclic_vector())
-        verdict = cyclicity_probe(mod, w, args.deg) if w else "ZeroVector"
-        _emit(
-            out,
-            {
-                "command": "module",
-                "action": "probe",
-                "family": args.family,
-                "verdict": verdict,
-            },
-        )
-        return 0
-    if args.action == "growth":
-        if args.weight:
-            target = WeightModule("K", parse_scalar(args.eigenvalue), mod, args.window)
-        else:
-            target = mod
-        slope = growth_exponent(target, args.deg)
-        _emit(
-            out,
-            {
-                "command": "module",
-                "action": "growth",
-                "family": args.family,
-                "weight": bool(args.weight),
-                "exponent": round(slope, 6),
-            },
-        )
-        return 0
-    wm = WeightModule(args.kind, parse_scalar(args.eigenvalue), mod, args.window)
-    values = sorted(str(v) for v in wm.support())
-    _emit(
-        out,
-        {
-            "command": "module",
-            "action": "support",
-            "kind": args.kind,
-            "window": args.window,
-            "support": values,
-        },
+def _action_record(args, **fields):
+    """The record of an ideal or module action."""
+    return {"command": args.command, "action": args.action, **fields}
+
+
+def _cmd_ideal_span(args, p):
+    _, ideal, label = _ideal_of(args, p)
+    dimension, bound = ideal.dimension, ideal.degree_bound
+    return [_action_record(args, ideal=label, dimension=dimension, degree_bound=bound)]
+
+
+def _cmd_ideal_member(args, p):
+    ctx, ideal, label = _ideal_of(args, p)
+    status = ideal.member(elaborate_element(parse(args.expr), ctx))
+    return [_action_record(args, ideal=label, status=status)]
+
+
+def _cmd_ideal_contain(args, p):
+    ctx, ideal, label = _ideal_of(args, p)
+    big = args.other or "I3"
+    report = containment_probe(ideal, _catalog_ideal(args, p, ctx, big))
+    return [_action_record(args, small=label, big=big, status=report.status)]
+
+
+def _cmd_spec_catalog(args, p):
+    cat = build_spec_catalog(p, degree_bound=args.deg)
+    return [
+        {"command": "spec", "ideal": name, "dimension": cat.ideals[name].dimension,
+         "degree_bound": args.deg}
+        for name in cat.named()
+    ]
+
+
+def _cmd_spec_diagram(args, p):
+    cat = build_spec_catalog(p, degree_bound=args.deg)
+    return [{"command": "spec", **edge} for edge in spec_diagram(cat)]
+
+
+def _module_of(args, p):
+    return QuotientModule(args.family, parse_scalar(args.sigma), parse_scalar(args.tau), p)
+
+
+def _module_element(args, p):
+    ctx = context_for("S", p, order_key=args.family)
+    return elaborate_element(parse(args.expr or "1"), ctx)
+
+
+def _cmd_module_act(args, p):
+    mod = _module_of(args, p)
+    el = _module_element(args, p)
+    i, j = (int(x) for x in args.vec.split(","))
+    vector = mod.render_vector(mod.act(el, mod.basis_vector(i, j)))
+    return [_action_record(args, family=args.family, vector=vector)]
+
+
+def _cmd_module_probe(args, p):
+    mod = _module_of(args, p)
+    w = mod.act(_module_element(args, p), mod.cyclic_vector())
+    verdict = cyclicity_probe(mod, w, args.deg) if w else "ZeroVector"
+    return [_action_record(args, family=args.family, verdict=verdict)]
+
+
+def _cmd_module_growth(args, p):
+    mod = _module_of(args, p)
+    if args.weight:
+        mod = WeightModule("K", parse_scalar(args.eigenvalue), mod, args.window)
+    exponent = round(growth_exponent(mod, args.deg), 6)
+    return [_action_record(args, family=args.family, weight=bool(args.weight), exponent=exponent)]
+
+
+def _cmd_module_support(args, p):
+    wm = WeightModule(args.kind, parse_scalar(args.eigenvalue), _module_of(args, p), args.window)
+    support = sorted(str(v) for v in wm.support())
+    return [_action_record(args, kind=args.kind, window=args.window, support=support)]
+
+
+def _cmd_aut_check(args, p):
+    matrix = None
+    if args.matrix:
+        a, b, c, d = (int(x) for x in args.matrix.split(","))
+        matrix = ((a, b), (c, d))
+    scalars = [parse_scalar(s) for s in args.scalars.split(",")] if args.scalars else None
+    report = check_morphism(family(args.family, p, i=args.i, matrix=matrix, scalars=scalars))
+    failures = [name for name, _ in report.failures]
+    return [
+        {"command": "aut", "family": args.family, "params": {"m": p.m, "n": p.n},
+         "relations_checked": report.relations_checked, "failures": failures, "ok": report.ok}
+    ]
+
+
+def _cmd_verify(args, p):
+    env = os.environ.get("QHEIS_SEED")
+    seed = args.seed if args.seed is not None else int(env) if env else 0
+    cfg = RunConfig(
+        m=args.m, n=args.n, seed=seed, deg=args.deg, window=args.window, samples=args.samples
     )
-    return 0
+    names = tuple(s.strip() for s in args.suite.split(","))
+    unknown = [s for s in names if s != "all" and s not in SUITE_NAMES]
+    if unknown:
+        raise ValueError(f"unknown suite(s) {unknown}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, not {args.samples}")
+    records, _ = run_suites(names, cfg)
+    per_suite: dict = {}
+    for r in records:
+        bucket = per_suite.setdefault(r["suite"], {"checks": 0, "passed": 0})
+        bucket["checks"] += 1
+        bucket["passed"] += int(r["ok"])
+    passed = sum(b["passed"] for b in per_suite.values())
+    failed = len(records) - passed
+    return [*records, {"summary": True, "checks": len(records), "passed": passed,
+                       "failed": failed, "per_suite": per_suite, "seed": cfg.seed}]
 
 
 if __name__ == "__main__":

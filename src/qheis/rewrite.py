@@ -551,14 +551,13 @@ class Presentation:
     def power(self, x: Element, k: int) -> Element:
         if k < 0:
             return self.power(x.inverse_monomial(), -k)
-        acc = self.one()
-        base = x
+        acc = None
         while k:
             if k & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base) if k > 1 else base
+                acc = x if acc is None else self.multiply(acc, x)
+            x = self.multiply(x, x) if k > 1 else x
             k >>= 1
-        return acc
+        return self.one() if acc is None else acc
 
     # -- confluence ----------------------------------------------------------------
 

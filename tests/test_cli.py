@@ -1,5 +1,6 @@
 """Command surface: JSON output, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import re
@@ -428,3 +429,77 @@ def test_module_probe_of_degree_zero_is_undetermined():
     code, out = run_cli(["module", "probe", "--family", "J1", "--deg", "0", "Ep"])
     (rec,) = lines_of(out)
     assert code == 0 and rec["verdict"] == "Undetermined"
+
+
+def _failing_smash(self):
+    """The smash checks with only the first one failing."""
+    return [
+        {"u": "K", "x": "a", "ok": False, "direct": "K*a", "rebuilt": "0"},
+        {"u": "K", "x": "b", "ok": True, "direct": "K*b", "rebuilt": "K*b"},
+    ]
+
+
+def test_aut_check_that_fails_exits_1(monkeypatch):
+    import qheis.cli
+    from qheis.morphisms import MorphismReport
+
+    report = MorphismReport(ok=False, relations_checked=7, failures=[("b*a", None)])
+    monkeypatch.setattr(qheis.cli, "check_morphism", lambda f: report)
+    code, out = run_cli(["aut", "check", "--family", "dual-embed"])
+    (rec,) = lines_of(out)
+    assert code == 1
+    assert rec["ok"] is False and rec["failures"] == ["b*a"]
+    assert rec["relations_checked"] == 7
+
+
+def test_smash_that_fails_exits_1(monkeypatch):
+    monkeypatch.setattr(qheis.DualPairing, "check_smash", _failing_smash)
+    code, out = run_cli(["smash"])
+    recs = lines_of(out)
+    assert code == 1
+    assert [r["ok"] for r in recs] == [False, True]
+    assert all(r["command"] == "smash" for r in recs)
+
+
+def test_verify_with_a_failing_suite_exits_1(monkeypatch):
+    monkeypatch.setattr(qheis.DualPairing, "check_smash", _failing_smash)
+    code, out = run_cli(["verify", "--suite", "smash"])
+    *recs, summary = lines_of(out)
+    assert code == 1
+    assert [(r["suite"], r["check"], r["ok"]) for r in recs] == [
+        ("smash", "K*a", False),
+        ("smash", "K*b", True),
+    ]
+    assert (summary["checks"], summary["passed"], summary["failed"]) == (2, 1, 1)
+    assert summary["per_suite"] == {"smash": {"checks": 2, "passed": 1}}
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_with_fewer_than_one_sample_exits_2(samples, capsys):
+    """With no sample the sampled checks hold vacuously; their records
+    would pass while checking nothing."""
+    argv = ["verify", "--suite", "hopf,modules,pairing-action", f"--samples={samples}"]
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: --samples must be at least 1, not {samples}\n"
+
+
+def _leaf_commands(parser, path=()):
+    """(command words, subparser) of each command that takes no action."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_commands(sub, (*path, name))
+
+
+def test_every_leaf_command_names_its_handler(capsys):
+    leaves = list(_leaf_commands(build_parser()))
+    assert len(leaves) == 19
+    for path, sub in leaves:
+        assert callable(sub.get_default("run")), path
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0, path
+        assert capsys.readouterr().out.startswith(f"usage: qheis {' '.join(path)} "), path

@@ -494,3 +494,48 @@ def test_full_degree_tail_rejected():
             degrees=(1, 1),
             relations=[("y", "x", ONE, [(ONE, [("x", 2)])])],
         )
+
+
+def _power_from_the_unit(pres, x, k):
+    """Square-and-multiply that starts from one(), as `power` once did."""
+    if k < 0:
+        x, k = x.inverse_monomial(), -k
+    acc, base = pres.one(), x
+    while k:
+        if k & 1:
+            acc = pres.multiply(acc, base)
+        base = pres.multiply(base, base) if k > 1 else base
+        k >>= 1
+    return acc
+
+
+@pytest.mark.parametrize(
+    "make, q0, build, ks",
+    [
+        (make_Dq, None, lambda d, s: d.gen("E") + d.gen("c").scale(s), range(9)),
+        (make_Dq, Fraction(3, 2), lambda d, s: d.gen("E") + d.gen("c").scale(s), range(9)),
+        (make_Dq, None, lambda d, s: d.multiply(d.gen("K", -1), d.gen("E")), range(9)),
+        (make_Dq, None, lambda d, s: d.gen("K").scale(s), range(-5, 6)),
+        (make_S, None, lambda d, s: d.gen("Ep") + d.multiply(d.gen("bp"), d.gen("cp")), range(7)),
+    ],
+    ids=["Dq", "Dq-q0", "Dq-monomial", "Dq-negative", "S"],
+)
+def test_power_starts_from_its_base(make, q0, build, ks):
+    """power(x, 1) is x and power(x, 0) is one(); every other power has the
+    terms of a power that starts from one(), in the same order and with
+    coefficients of the same type, but multiplies no factor by the unit,
+    so the pair cache keeps no entry with the unit as left factor."""
+    pres = make.__wrapped__(params(2, -3))
+    if q0 is not None:
+        pres = pres.specialize(q0)
+    ref = pres.map_scalars(lambda s: s)
+    s = qpow(2) if q0 is None else q0 ** 2
+    x = build(pres, s)
+    assert pres.power(x, 1) is x
+    for k in ks:
+        got, want = pres.power(x, k), _power_from_the_unit(ref, x, k)
+        assert [(m, type(c), c) for m, c in got.terms.items()] == [
+            (m, type(c), c) for m, c in want.terms.items()
+        ]
+    assert pres._pair_cache and not [k for k in pres._pair_cache if k[0] == pres._unit]
+    assert [k for k in ref._pair_cache if k[0] == ref._unit]
