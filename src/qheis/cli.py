@@ -364,6 +364,8 @@ def _cmd_verify(args, p):
         raise ValueError(f"unknown suite(s) {unknown}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, not {args.samples}")
+    if args.window < 1:
+        raise ValueError(f"--window must be at least 1, not {args.window}")
     records, _ = run_suites(names, cfg)
     per_suite: dict = {}
     for r in records:

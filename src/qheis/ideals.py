@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import BoundMismatch, DegreeTooSmall
 from .presets import AlgebraParams, make_S, torus_of_S_quotient
-from .qfield import ONE, ZERO, QScalar, add_scaled, inverse, qpow
+from .qfield import ONE, QScalar, add_scaled, inverse, qpow
 from .rewrite import Element, Presentation
 
 
@@ -110,6 +110,8 @@ class TruncatedIdeal:
     that `generators` add; its generators are the base's, then these."""
 
     def __init__(self, spres: Presentation, generators, side, degree_bound, base=None):
+        if side not in ("left", "twoSided"):
+            raise ValueError("side must be 'left' or 'twoSided'")
         if base is not None and (
             base.spres is not spres or (base.side, base.degree_bound) != (side, degree_bound)
         ):
@@ -243,10 +245,11 @@ class TruncatedIdeal:
                         expanded = spres.multiply(g_el, spres.monomial(m1))
                     else:
                         expanded = spres.multiply(spres.monomial(m2), g_el)
-                    for mm, cc in expanded.terms.items():
-                        key = (mm, idx, m2) if left else (m1, idx, mm)
-                        combo[key] = combo.get(key, ZERO) + c * cc
-                combo = {k: v for k, v in combo.items() if v}
+                    keyed = {
+                        (mm, idx, m2) if left else (m1, idx, mm): cc
+                        for mm, cc in expanded.terms.items()
+                    }
+                    add_scaled(combo, keyed, c)
             # the row is (product - sum factor * earlier row) / lc
             for factor, rlead in steps:
                 add_scaled(combo, combos[rlead], -factor)
@@ -282,8 +285,6 @@ class TruncatedIdeal:
 
 
 def ideal_span(spres, generators, side="twoSided", degree_bound=8) -> TruncatedIdeal:
-    if side not in ("left", "twoSided"):
-        raise ValueError("side must be 'left' or 'twoSided'")
     return TruncatedIdeal(spres, generators, side, degree_bound)
 
 

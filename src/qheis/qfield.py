@@ -67,11 +67,7 @@ def _prim(c):
     """Trim and divide out the integer content (sign kept); list in, list out."""
     while c and c[-1] == 0:
         c.pop()
-    if not c:
-        return c
-    g = 0
-    for x in c:
-        g = gcd(g, abs(x))
+    g = _content(c)
     if g > 1:
         c = [x // g for x in c]
     return c
@@ -190,7 +186,7 @@ class QScalar:
     is (0, (), (1,)).  Canonical form makes __eq__/__hash__ structural.
     """
 
-    __slots__ = ("shift", "num", "den", "_hash")
+    __slots__ = ("shift", "num", "den")
 
     def __init__(self, value=0):
         # each value is canonical as it stands: an int or a Fraction in
@@ -206,13 +202,11 @@ class QScalar:
         else:
             raise TypeError(f"cannot build QScalar from {type(value).__name__}")
         self.shift, self.num, self.den = shift, num, den
-        self._hash = None
 
     @classmethod
     def _raw(cls, shift, num, den):
         self = object.__new__(cls)
         self.shift, self.num, self.den = shift, num, den
-        self._hash = None
         return self
 
     @classmethod
@@ -364,13 +358,9 @@ class QScalar:
         return self.shift == o.shift and self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        if self._hash is None:
-            if self.shift == 0 and len(self.num) <= 1 and len(self.den) == 1:
-                val = Fraction(self.num[0] if self.num else 0, self.den[0])
-                self._hash = hash(val)
-            else:
-                self._hash = hash((self.shift, self.num, self.den))
-        return self._hash
+        if self.shift == 0 and len(self.num) <= 1 and len(self.den) == 1:
+            return hash(Fraction(self.num[0] if self.num else 0, self.den[0]))
+        return hash((self.shift, self.num, self.den))
 
     # -- evaluation / rendering ----------------------------------------------
 

@@ -18,7 +18,8 @@ reduced once (Bergman, The diamond lemma for ring theory, Adv. Math. 1978).
 A tail rule whose descent is a block g^a*h^b with a, b >= 2 rewrites the
 whole block at once: its normal form (for the q-Weyl pairs, the expansion
 of Kassel, Quantum Groups, GTM 155, ch. IV) is reduced one letter at a time
-once per presentation and then spliced in wherever the block recurs.
+once per presentation, kept in the pair cache as the product of the
+monomials g^a and h^b, and spliced in wherever the block recurs.
 
 A product of two monomials that no tail rule crosses is not rewritten at
 all: only pure q-commutations reorder it, so it is the merged monomial
@@ -41,10 +42,10 @@ from .errors import (
 from .qfield import ONE, QScalar, _join_parts, add_scaled, evaluate, inverse, qpow
 from .qfield import scalar_is_negative, scalar_is_simple, signed_texts
 
-# a presentation's table of block normal forms is emptied when it reaches
-# this many entries, so that it cannot grow without limit (the entry for
-# Dq's E^16*c^16 at (m, n) = (2, 3) takes about 200 KB)
-_BLOCKS_CAP = 256
+# a presentation's pair cache is emptied when it reaches this many entries,
+# so that it cannot grow without limit (the block entry for Dq's E^16*c^16
+# at (m, n) = (2, 3) takes about 200 KB)
+_PAIRS_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,6 @@ class Presentation:
                     )
         self.rules = dict(rules)
         self._pair_cache = {}
-        self._blocks = {}
         self._square = None
         self._hopf = None  # the HopfStructure of hopf.py, built at most once
         self._unit = tuple([0] * n)
@@ -367,16 +367,6 @@ class Presentation:
             mono[g] = e
         add_scaled(out, {tuple(mono): c})
 
-    def _block(self, g, a, h, b):
-        """Normal form of g^a*h^b as (word, coeff) pairs, reduced once one
-        letter at a time (strategy "right" reads no blocks) and kept."""
-        nf = self._reduce(1, [(g, a), (h, b)], "right")
-        if len(self._blocks) >= _BLOCKS_CAP:
-            self._blocks.clear()
-        block = [(self._word_of_mono(m), c) for m, c in nf.items()]
-        self._blocks[(g, a, h, b)] = block
-        return block
-
     def _reduce(self, coeff, word, strategy="left"):
         """Reduce coeff*word to a {monomial: coeff} map.
 
@@ -392,14 +382,15 @@ class Presentation:
         current word: the map and the heap are made only when two words
         wait at once.  `strategy` ("left", "right" or an RNG) picks the
         descent rewritten at each step.  Only "left" splices in the normal
-        forms of blocks g^a*h^b with a, b >= 2; the others peel one letter
+        forms of blocks g^a*h^b with a, b >= 2, read from the pair cache and
+        filled along "right"; the others read no memo and peel one letter
         at a time, so comparing strategies compares the two routes.
         """
         out = {}
         rules = self.rules
         merged = self._merged
         descent = self._descent
-        blocks = self._blocks if strategy == "left" else None
+        splice = strategy == "left"
         pending = heap = None
         c, w = coeff, merged(word)
         while True:
@@ -424,10 +415,11 @@ class Presentation:
                         "tail rule on a negative power: "
                         f"{self.table.names[g]}^{a}*{self.table.names[h]}^{b}"
                     )
-                if blocks is not None and a > 1 and b > 1:
-                    words = blocks.get((g, a, h, b))
-                    if words is None:
-                        words = self._block(g, a, h, b)
+                if splice and a > 1 and b > 1:
+                    m1, m2 = list(self._unit), list(self._unit)
+                    m1[g], m2[h] = a, b
+                    block = self._product(tuple(m1), tuple(m2), "right")
+                    words = [(self._word_of_mono(m), bc) for m, bc in block.items()]
                     head, rest = w[:pos], w[pos + 2:]
                 else:
                     words = self._rewrites[(g, h)]
@@ -514,27 +506,33 @@ class Presentation:
             return Element(self, x.terms)
         return Element(self, self._reduce(1, self._validate_word(x), strategy))
 
+    def _product(self, m1, m2, strategy="left"):
+        """m1*m2 as a {monomial: coeff} map, kept in the pair cache: the
+        closed form where no tail rule crosses, else the normal form of the
+        joined word along `strategy`."""
+        cache = self._pair_cache
+        prod = cache.get((m1, m2))
+        if prod is None:
+            prod = self._skew_product(m1, m2)
+            if prod is None:
+                word = self._word_of_mono(m1) + self._word_of_mono(m2)
+                prod = self._reduce(1, word, strategy)
+            if len(cache) >= _PAIRS_CAP:
+                cache.clear()
+            cache[(m1, m2)] = prod
+        return prod
+
     def multiply(self, x: Element, y: Element) -> Element:
-        """x*y.  A product of two monomials missing from the pair cache is
-        the closed form where no tail rule crosses, else the rewriter's
-        normal form of the joined word; a presentation with no tail rule
-        forms every product in closed form and caches none."""
+        """x*y, one `_product` per pair of terms; a presentation with no
+        tail rule forms every product in closed form and caches none."""
         if x.pres is not self or y.pres is not self:
             if x.pres.table.names != self.table.names or y.pres.table.names != self.table.names:
                 raise PresentationError("operands belong to a different presentation")
         out = {}
-        cache = self._pair_cache
-        keep = self._has_tails
+        product = self._product if self._has_tails else self._skew_product
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
-                prod = cache.get((m1, m2)) if keep else None
-                if prod is None:
-                    prod = self._skew_product(m1, m2)
-                    if prod is None:
-                        word = self._word_of_mono(m1) + self._word_of_mono(m2)
-                        prod = self._reduce(1, word)
-                    if keep:
-                        cache[(m1, m2)] = prod
+                prod = product(m1, m2)
                 # c * 1 and 1 * c are c, of the product's type
                 if c2.__class__ is int and c2 == 1:
                     c = c1

@@ -484,6 +484,17 @@ def test_verify_with_fewer_than_one_sample_exits_2(samples, capsys):
     assert capsys.readouterr().err == f"error: --samples must be at least 1, not {samples}\n"
 
 
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_verify_with_a_window_below_one_exits_2(window, capsys):
+    """With window 0 the weights suite's relation loops run over no layer,
+    so its checks would pass while checking nothing."""
+    code, out = run_cli(["verify", "--suite", "weights", f"--window={window}"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: --window must be at least 1, not {window}\n"
+    code, out = run_cli(["verify", "--suite", "weights", "--window", "1"])
+    assert code == 0 and lines_of(out)[-1]["failed"] == 0
+
+
 def _leaf_commands(parser, path=()):
     """(command words, subparser) of each command that takes no action."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -28,6 +28,7 @@ from qheis.qfield import ONE, QScalar, add_scaled, inverse, qpow
 from qheis.rewrite import Element, Presentation
 from qheis.smodules import QuotientModule, cyclicity_probe
 from qheis.suites import RunConfig, run_suites
+from test_rewrite import _block_keys
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +170,15 @@ def test_left_ideal_span(p11):
     phi1, _ = phi_elements(s)
     left = ideal_span(s, [phi1], side="left", degree_bound=5)
     assert member(left, s.multiply(s.gen("bp"), phi1)) == "Verified"
+
+
+@pytest.mark.parametrize("build", [TruncatedIdeal, ideal_span], ids=["class", "ideal_span"])
+def test_span_rejects_an_unknown_side(p11, build):
+    """A side other than 'left' or 'twoSided' is refused, not read as
+    two-sided."""
+    s = make_S(p11)
+    with pytest.raises(ValueError, match="side must be 'left' or 'twoSided'"):
+        build(s, [s.gen("Ep")], "Left", 3)
 
 
 @pytest.mark.parametrize("mn,deg", [((6, 4), 6), ((2, 3), 7), ((2, -3), 7)])
@@ -641,7 +651,7 @@ def test_echelon_reduce_cancels_some_keys_and_keeps_others():
 def test_catalog_diagram_and_certificate_form_no_block():
     """Spans multiply monomials by single letters and a certificate replays
     such products, so no tail rule meets a block g^a*h^b with a, b >= 2 and
-    the block table of the presentation stays empty."""
+    the pair cache of the presentation keeps no block entry."""
     p = params(1, 1)
     spres = make_S.__wrapped__(p)
     cat = build_spec_catalog(p, degree_bound=6, z_samples=(QScalar(7),), spres=spres)
@@ -650,4 +660,4 @@ def test_catalog_diagram_and_certificate_form_no_block():
     ideal = cat.ideals["I1"]
     cert = ideal.certificate(spres.gen("bp") * phi1 * spres.gen("Fp"))
     assert cert is not None
-    assert spres._blocks == {}
+    assert spres._pair_cache and _block_keys(spres) == []

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -307,7 +308,7 @@ def test_specialization_commutes_with_multiplication(mn_params):
 
 
 # ---------------------------------------------------------------------------
-# tail rules on whole blocks: g^a*h^b spliced in from the block table
+# tail rules on whole blocks: g^a*h^b spliced in from the pair cache
 
 
 def _block_presentations(p, q0):
@@ -331,9 +332,22 @@ def _random_block_word(pres, rng):
     return word
 
 
+def _block_keys(pres):
+    """The pair-cache keys (g^a, h^b) with a, b >= 2 of blocks that a tail
+    rule reorders: the entries a block splice reads."""
+    keys = []
+    for m1, m2 in pres._pair_cache:
+        w1, w2 = pres._word_of_mono(m1), pres._word_of_mono(m2)
+        if len(w1) == len(w2) == 1:
+            (g, a), (h, b) = w1 + w2
+            if a > 1 and b > 1 and (g, h) in pres._rewrites:
+                keys.append((m1, m2))
+    return keys
+
+
 def _letter_product(pres, word):
     """The word multiplied one letter at a time on a copy of `pres` with
-    empty caches: a single letter never forms a block, so no block table
+    empty caches: a single letter never forms a block, so no block entry
     takes part."""
     fresh = pres.map_scalars(lambda s: s)
     acc = fresh.one()
@@ -341,7 +355,7 @@ def _letter_product(pres, word):
         letter = fresh.gen(name, 1 if e > 0 else -1)
         for _ in range(abs(e)):
             acc = fresh.multiply(acc, letter)
-    assert not fresh._blocks
+    assert not _block_keys(fresh)
     return acc.terms
 
 
@@ -367,63 +381,74 @@ def test_spliced_blocks_match_one_letter_rewriting(mn, q0):
     for pres in _block_presentations(params(*mn), q0):
         words = [_random_block_word(pres, rng) for _ in range(10)]
         assert _block_mismatches(pres, words) == []
-        spliced += len(pres._blocks)
+        spliced += len(_block_keys(pres))
     assert spliced
 
 
 def test_rescaled_block_entry_fails_the_differential_check(p11):
-    """One coefficient of one kept block, doubled, must show as a mismatch."""
+    """One coefficient of one kept block entry, doubled, must show as a
+    mismatch."""
     dq = make_Dq(p11).map_scalars(lambda s: s)
     rng = random.Random(59)
     words = [_random_block_word(dq, rng) for _ in range(10)] + [[("E", 2), ("c", 2)]]
     assert _block_mismatches(dq, words) == []
-    key = next(iter(dq._blocks))
-    block = dq._blocks[key]
-    (word, c), *rest = block
-    dq._blocks[key] = [(word, 2 * c), *rest]
+    key = _block_keys(dq)[0]
+    (mono, c), *rest = dq._pair_cache[key].items()
+    dq._pair_cache[key] = {mono: 2 * c, **dict(rest)}
     assert _block_mismatches(dq, words)
 
 
 def test_right_strategy_reads_no_block(p11):
     class Unreadable(dict):
         def get(self, key, default=None):
-            raise AssertionError("block table read")
+            raise AssertionError("pair cache read")
 
     for pres in _block_presentations(p11, None):
         pres = pres.map_scalars(lambda s: s)
-        pres._blocks = Unreadable()
+        pres._pair_cache = Unreadable()
         names = pres.table.names
         word = [(names[-1], 3), (names[0], 3), (names[-1], 2), (names[1], 2)]
         right = pres.normal_form(word, "right")
         assert pres.normal_form(word, random.Random(3)) == right
-        with pytest.raises(AssertionError, match="block table read"):
+        with pytest.raises(AssertionError, match="pair cache read"):
             pres.normal_form(word)
 
 
+def test_multiply_reads_the_block_a_normal_form_kept(p11, monkeypatch):
+    """The block E^2*c^3 that a normal form kept is the pair-cache entry of
+    the product of the monomials E^2 and c^3, so that product reduces
+    nothing."""
+    dq = make_Dq(p11).map_scalars(lambda s: s)
+    nf = dq.normal_form([("E", 2), ("c", 3)])
+
+    def reduce(*args):
+        raise AssertionError("reduced")
+
+    monkeypatch.setattr(dq, "_reduce", reduce)
+    assert dq.multiply(dq.gen("E", 2), dq.gen("c", 3)) == nf
+
+
 def test_block_table_is_bounded(p11, monkeypatch):
-    """Filled past its cap the table empties and starts again, and the
-    normal forms stay those of an unbounded table."""
+    """Filled past its cap the pair cache empties and starts again, and the
+    normal forms stay those of an unbounded cache."""
     words = [[("E", a), ("c", b), ("F", a), ("b", b)] for a in range(2, 5) for b in range(2, 5)]
     unbounded = make_Dq(p11).map_scalars(lambda s: s)
     expected = [unbounded.normal_form(w) for w in words]
-    assert len(unbounded._blocks) > 4
-    monkeypatch.setattr(qheis.rewrite, "_BLOCKS_CAP", 4)
+    assert len(unbounded._pair_cache) > 4
+    monkeypatch.setattr(qheis.rewrite, "_PAIRS_CAP", 4)
     dq = make_Dq(p11).map_scalars(lambda s: s)
     got = []
     for w in words:
         got.append(dq.normal_form(w))
-        assert 0 < len(dq._blocks) <= 4
+        assert 0 < len(dq._pair_cache) <= 4
     assert got == expected
 
 
 # ---------------------------------------------------------------------------
 # the premises of the termination order (degree, inversions): every tail is
-# of lower degree than its pair, and a kept block g^a*h^b has normal words
-# whose only one of full degree is h^b*g^a, so a splice lowers the order
-
-
-def _word_degree(pres, word):
-    return sum(pres.table.degrees[i] * e for i, e in word if e > 0)
+# of lower degree than its pair, and a kept block g^a*h^b has normal
+# monomials whose only one of full degree is h^b*g^a, so a splice lowers
+# the order
 
 
 def _order_violations(pres):
@@ -433,16 +458,11 @@ def _order_violations(pres):
     for (g, h), rule in pres.rules.items():
         if any(pres.degree_of(m) >= degs[g] + degs[h] for m, _ in rule.tail):
             bad.append(("tail", g, h))
-    for (g, a, h, b), block in pres._blocks.items():
-        words = [w for w, _ in block]
-        if not all(
-            all(e for _, e in w) and all(x[0] < y[0] for x, y in zip(w, w[1:]))
-            for w in words
-        ):
-            bad.append(("not normal", g, a, h, b))
-        full = a * degs[g] + b * degs[h]
-        if [w for w in words if _word_degree(pres, w) >= full] != [[(h, b), (g, a)]]:
-            bad.append(("full degree", g, a, h, b))
+    for m1, m2 in _block_keys(pres):
+        full = pres.degree_of(m1) + pres.degree_of(m2)
+        top = [m for m in pres._pair_cache[(m1, m2)] if pres.degree_of(m) >= full]
+        if top != [tuple(map(add, m1, m2))]:
+            bad.append(("full degree", m1, m2))
     return bad
 
 
@@ -458,27 +478,25 @@ def test_tails_and_kept_blocks_lower_the_termination_order(mn, q0):
         pres = pres.map_scalars(lambda s: s)
         for _ in range(6):
             pres.normal_form(_random_block_word(pres, rng))
-        blocks += len(pres._blocks)
+        blocks += len(_block_keys(pres))
         assert _order_violations(pres) == []
     assert blocks
 
 
 def test_order_premises_fail_on_mutant_tails_and_blocks(p11):
-    """A block entry holding the unreduced g^a*h^b, one whose leading word
-    is of higher degree, and a tail of full degree each break a premise."""
+    """A block entry whose leading monomial is of higher degree, and a tail
+    of full degree each break a premise."""
     dq = make_Dq(p11).map_scalars(lambda s: s)
     dq.normal_form([("E", 2), ("c", 3)])
-    (key, block), = dq._blocks.items()
-    g, a, h, b = key
+    (key,) = _block_keys(dq)
+    block = dq._pair_cache[key]
+    g, h = dq.index["E"], dq.index["c"]
     assert _order_violations(dq) == []
-    mutants = [
-        block + [([(g, a), (h, b)], 1)],
-        [([(h, b), (g, a + 1)], c) if w == [(h, b), (g, a)] else (w, c) for w, c in block],
-    ]
-    for mutant in mutants:
-        dq._blocks[key] = mutant
-        assert _order_violations(dq)
-    dq._blocks[key] = block
+    lead = tuple(map(add, *key))
+    higher = tuple(e + (i == g) for i, e in enumerate(lead))
+    dq._pair_cache[key] = {(higher if m == lead else m): c for m, c in block.items()}
+    assert _order_violations(dq)
+    dq._pair_cache[key] = block
     rule = dq.rules[(g, h)]
     full = tuple(1 if i in (g, h) else 0 for i in range(6))
     dq.rules[(g, h)] = RewriteRule(g, h, rule.swap, rule.tail + ((full, 1),))
