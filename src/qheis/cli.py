@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import QheisError
+from .errors import InvalidParameter, QheisError
 from .expr import ALGEBRAS, context_for, elaborate_element, parse, parse_scalar
 from .hopf import DualPairing, hopf_Oq, hopf_Uq
 from .ideals import build_spec_catalog, catalog_generators, containment_probe, ideal_span
@@ -82,7 +82,12 @@ def _add_common(sub, *options, **defaults):
 
 
 def _q0_of(args):
-    return None if args.q is None else Fraction(args.q)
+    if args.q is None:
+        return None
+    try:
+        return Fraction(args.q)
+    except ZeroDivisionError:
+        raise InvalidParameter(f"--q={args.q} has a zero denominator") from None
 
 
 @functools.cache

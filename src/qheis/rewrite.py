@@ -16,10 +16,13 @@ merge before they are reduced.  Pending words are reduced in decreasing
 (degree, inversions), a pair every rewrite lowers, so each distinct word is
 reduced once (Bergman, The diamond lemma for ring theory, Adv. Math. 1978).
 A tail rule whose descent is a block g^a*h^b with a, b >= 2 rewrites the
-whole block at once: its normal form (for the q-Weyl pairs, the expansion
-of Kassel, Quantum Groups, GTM 155, ch. IV) is reduced one letter at a time
-once per presentation, kept in the pair cache as the product of the
-monomials g^a and h^b, and spliced in wherever the block recurs.
+whole block at once: its normal form is filled once per presentation, kept
+in the pair cache as the product of the monomials g^a and h^b, and spliced
+in wherever the block recurs.  Where the tail letters only q-commute with
+g, h and each other (every tail rule of the presets), the fill multiplies
+h^b on the left by g through a table of the q-Weyl expansion of g*h^i
+(Kassel, Quantum Groups, GTM 155, ch. IV); any other tail rule fills its
+blocks by reducing them one letter at a time.
 
 A product of two monomials that no tail rule crosses is not rewritten at
 all: only pure q-commutations reorder it, so it is the merged monomial
@@ -181,6 +184,10 @@ class Presentation:
             if r.tail
         }
         self._has_tails = bool(self._rewrites)
+        # the tail rules (g, h) whose blocks g^a*h^b fill from a table of
+        # g*h^i (see _weyl_block): every tail letter sorts after h and
+        # crosses g, h and the other tail letters by a pure q-commutation
+        self._weyl = {key for key in self._rewrites if self._weyl_premises(key)}
         self._qpowers = all(
             s.__class__ is QScalar and s.is_q_power() for s in pure.values()
         )
@@ -195,6 +202,20 @@ class Presentation:
                         "tail degree not below the reordered pair: "
                         f"{table.names[rule.later]}*{table.names[rule.earlier]}"
                     )
+
+    def _weyl_premises(self, key):
+        """Whether the tail rule `key` = (g, h) meets the premises of the
+        table fill: then h^r*T*h^j is a scalar times h^(r+j)*T, and each
+        term of the table times the rest of a monomial is a closed form."""
+        g, h = key
+        letters = {t for m, _ in self.rules[key].tail for t, e in enumerate(m) if e}
+        if any(t < h for t in letters):
+            return False
+        return all(
+            t == u or not self.rules[(max(t, u), min(t, u))].tail
+            for t in letters
+            for u in letters | {g, h}
+        )
 
     # -- construction ---------------------------------------------------------
 
@@ -383,8 +404,10 @@ class Presentation:
         wait at once.  `strategy` ("left", "right" or an RNG) picks the
         descent rewritten at each step.  Only "left" splices in the normal
         forms of blocks g^a*h^b with a, b >= 2, read from the pair cache and
-        filled along "right"; the others read no memo and peel one letter
-        at a time, so comparing strategies compares the two routes.
+        filled by `_product` from the table of g*h^i, or along "right" where
+        the tail rule does not meet its premises; the others read no memo
+        and peel one letter at a time, so comparing strategies compares the
+        two routes.
         """
         out = {}
         rules = self.rules
@@ -493,6 +516,48 @@ class Presentation:
             c = qpow(k)
         return {tuple(map(add, m1, m2)): c}
 
+    def _weyl_block(self, g, a, h, b):
+        """g^a*h^b for a tail rule (g, h) in `_weyl`: h^b multiplied on the
+        left by g, a times (Kassel, Quantum Groups, GTM 155, ch. IV).
+
+        Each term is h^i*R with R free of h, and g*h^i is read off a table
+        of the expansion
+
+            g*h^i = lam^i * h^i*g + sum_{r<i} lam^r * h^r*T*h^(i-1-r)
+
+        with lam the swap and T the tail.  Each monomial m of T satisfies
+        m*h = sigma*h*m, so its part of the sum is tau_i * h^(i-1)*m with
+        tau_1 = 1 and tau_i = tau_(i-1)*sigma + lam^(i-1).  Each table term
+        times R is a closed form.  The table lives for this one block.
+        """
+        rule = self.rules[(g, h)]
+        lam, unit, skew = rule.swap, self._unit, self._skew_product
+
+        def at(m, i, e):
+            return m[:i] + (e,) + m[i + 1:]
+
+        sigmas = [c for m, _ in rule.tail for c in skew(m, at(unit, h, 1)).values()]
+        taus = [1] * len(sigmas)
+        # rows[i] holds the terms (monomial, coeff) of g*h^i
+        rows = [[(at(unit, g, 1), 1)]]
+        for i in range(1, b + 1):
+            if i > 1:
+                taus = [tau * s + lam ** (i - 1) for tau, s in zip(taus, sigmas)]
+            rows.append(
+                [(at(at(unit, g, 1), h, i), lam**i)]
+                + [(at(m, h, i - 1), t * tau) for (m, t), tau in zip(rule.tail, taus)]
+            )
+        terms = {at(unit, h, b): 1}
+        for _ in range(a):
+            out = {}
+            for m, c in terms.items():
+                rest = at(m, h, 0)
+                for tm, tc in rows[m[h]]:
+                    ((pm, pc),) = skew(tm, rest).items()
+                    add_scaled(out, {pm: pc * tc}, c)
+            terms = out
+        return terms
+
     def normal_form(self, x, strategy="left"):
         """Normal form of an Element or of a word [(name, exp), ...].
 
@@ -508,15 +573,20 @@ class Presentation:
 
     def _product(self, m1, m2, strategy="left"):
         """m1*m2 as a {monomial: coeff} map, kept in the pair cache: the
-        closed form where no tail rule crosses, else the normal form of the
-        joined word along `strategy`."""
+        closed form where no tail rule crosses, the table fill of a block
+        g^a*h^b with a, b >= 2 whose rule is in `_weyl`, else the normal
+        form of the joined word along `strategy`."""
         cache = self._pair_cache
         prod = cache.get((m1, m2))
         if prod is None:
             prod = self._skew_product(m1, m2)
             if prod is None:
                 word = self._word_of_mono(m1) + self._word_of_mono(m2)
-                prod = self._reduce(1, word, strategy)
+                (g, a), (h, b) = word[0], word[-1]
+                if len(word) == 2 and (g, h) in self._weyl and a > 1 and b > 1:
+                    prod = self._weyl_block(g, a, h, b)
+                else:
+                    prod = self._reduce(1, word, strategy)
             if len(cache) >= _PAIRS_CAP:
                 cache.clear()
             cache[(m1, m2)] = prod

@@ -240,6 +240,26 @@ def test_rational_q_mode_symbolic_z(expr, status):
     assert rec["status"] == status
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["nf", "--q=1/0", "E"], "InvalidParameter: --q=1/0 has a zero denominator"),
+        (
+            ["ideal", "member", "--ideal", "I1", "--q=2/0", "phi1"],
+            "InvalidParameter: --q=2/0 has a zero denominator",
+        ),
+        (["nf", "--q=abc", "E"], "Invalid literal for Fraction: 'abc'"),
+        (["nf", "--q=0", "E"], "InvalidParameter: q = 0 is excluded (root of unity or zero)"),
+    ],
+    ids=["nf-1/0", "member-2/0", "abc", "zero"],
+)
+def test_a_q_that_is_no_admissible_rational_exits_2(argv, err, capsys):
+    """A zero denominator names --q; the other refusals keep their text."""
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_verify_deterministic_and_exit_zero():
     args = ["verify", "--suite", "confluence,smash", "--m", "1", "--n", "1", "--seed", "3"]
     code1, out1 = run_cli(args)
