@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_closed_form import GRID, POINTS, _typed
+from test_rewrite import _letter_product
 
 from qheis.presets import S_ORDERS, make_D_split, make_Dq, make_S, params
 from qheis.qfield import ONE, qpow
@@ -126,15 +127,12 @@ def test_premises_pick_the_fill(build, g, h, weyl, monkeypatch):
     g, h = pres.index[g], pres.index[h]
     assert ((g, h) in pres._weyl) is weyl
     block = [(g, 3), (h, 4)]
+    word = [(pres.table.names[i], e) for i, e in block]
     expected = _fresh(pres)._reduce(1, block, "right")
-    letters = _fresh(pres).one()
-    for i, e in block:
-        for _ in range(e):
-            letters = letters * letters.pres.monomial(_mono(pres, i, 1))
-    assert letters.terms == expected
+    assert _letter_product(pres, word) == expected
     pres = _fresh(pres)
     calls = _spy_on_reduce(pres, monkeypatch)
-    nf = pres.normal_form([(pres.table.names[i], e) for i, e in block])
+    nf = pres.normal_form(word)
     assert calls == (["left"] if weyl else ["left", "right"])
     assert _typed(nf.terms) == _typed(expected)
     assert _typed(pres._pair_cache[(_mono(pres, g, 3), _mono(pres, h, 4))]) == _typed(expected)
