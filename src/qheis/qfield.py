@@ -55,7 +55,9 @@ def _pmul(a, b):
 def _content(a):
     g = 0
     for x in a:
-        g = gcd(g, abs(x))
+        g = gcd(g, x)
+        if g == 1:
+            return 1
     return g
 
 
@@ -74,16 +76,18 @@ def _prim(c):
 
 
 def _prem(f, g):
-    """Integer pseudo-remainder of f by g (lists, g nonzero)."""
+    """Integer pseudo-remainder of f by g (lists, g nonzero), over the
+    nonzero slots of g below its leading one."""
     r = list(f)
     dg = len(g) - 1
     lg = g[-1]
+    nonzero = [(i, y) for i, y in enumerate(g[:-1]) if y]
     while len(r) - 1 >= dg and r:
         c = r[-1]
         s = len(r) - 1 - dg
         r = [lg * x for x in r[:-1]]
-        for i in range(dg):
-            r[s + i] -= c * g[i]
+        for i, y in nonzero:
+            r[s + i] -= c * y
         while r and r[-1] == 0:
             r.pop()
     return r
@@ -116,10 +120,12 @@ def _pgcd(a, b):
 
 def _pdiv_exact(a, b):
     """Exact quotient a/b in Z[q]; b must divide a, so every synthetic
-    division step stays integral."""
+    division step stays integral.  Each step runs over the nonzero slots
+    of b below its leading one."""
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
+    nonzero = [(i, y) for i, y in enumerate(b[:-1]) if y]
     q = [0] * (len(a) - len(b) + 1)
     while len(r) - 1 >= db and r:
         c, rem = divmod(r.pop(), lb)
@@ -127,8 +133,8 @@ def _pdiv_exact(a, b):
             raise ArithmeticError("inexact polynomial division")
         s = len(r) - db
         q[s] = c
-        for i in range(db):
-            r[s + i] -= c * b[i]
+        for i, y in nonzero:
+            r[s + i] -= c * y
         while r and r[-1] == 0:
             r.pop()
     if r:
@@ -136,10 +142,15 @@ def _pdiv_exact(a, b):
     return _trim(q)
 
 
-def _peval(a, q0: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _peval(a, u, v):
+    """sum c_i*u^i*v^(d-i) over the d+1 coefficients c_i of a: v^d times
+    the value of a at q = u/v, by Horner's rule on the integers, so that
+    the caller divides once (Knuth, TAOCP vol. 2, sec. 4.6.4)."""
+    acc = 0
+    w = 1
     for c in reversed(a):
-        acc = acc * q0 + c
+        acc = acc * u + c * w
+        w *= v
     return acc
 
 
@@ -369,10 +380,22 @@ class QScalar:
         q0 = Fraction(q0)
         if q0 in (0, 1, -1):
             raise InvalidParameter(f"q = {q0} is excluded (root of unity or zero)")
-        dv = _peval(self.den, q0)
-        if dv == 0:
+        u, v = q0.numerator, q0.denominator
+        bottom = _peval(self.den, u, v)
+        if bottom == 0:
             raise EvaluationPole(f"denominator vanishes at q = {q0}")
-        return q0**self.shift * _peval(self.num, q0) / dv
+        top = _peval(self.num, u, v)
+        # (u/v)^shift * (top / v^(len(num)-1)) / (bottom / v^(len(den)-1))
+        k, s = len(self.den) - len(self.num) - self.shift, self.shift
+        if s > 0:
+            top *= u**s
+        elif s < 0:
+            bottom *= u**-s
+        if k > 0:
+            top *= v**k
+        elif k < 0:
+            bottom *= v**-k
+        return Fraction(top, bottom)
 
     def __str__(self):
         return self._texts()[0]
@@ -428,9 +451,9 @@ def _canon(shift, num, den):
         if len(g) > 1:
             num = _pdiv_exact(num, g)
             den = _pdiv_exact(den, g)
-    cn = _content(num)
-    cd = _content(den)
-    cg = gcd(cn, cd)
+    cg = _content(num)
+    if cg > 1:
+        cg = gcd(cg, _content(den))
     if cg > 1:
         num = _pscale_exact(num, cg)
         den = _pscale_exact(den, cg)

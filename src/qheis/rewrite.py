@@ -32,6 +32,7 @@ times one scalar, read off the rule table in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, product
 from math import comb
@@ -49,6 +50,9 @@ from .qfield import scalar_is_negative, scalar_is_simple, signed_texts
 # so that it cannot grow without limit (the block entry for Dq's E^16*c^16
 # at (m, n) = (2, 3) takes about 200 KB)
 _PAIRS_CAP = 1 << 14
+# a presentation keeps each specialization it built, by q0, and empties
+# them all when it holds this many, as it empties its pair cache
+_SPECIALIZED_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,7 @@ class Presentation:
         self._pair_cache = {}
         self._square = None
         self._hopf = None  # the HopfStructure of hopf.py, built at most once
+        self._specialized = {}  # Fraction q0 -> specialize(q0)
         self._unit = tuple([0] * n)
         # the closed-form product reads the pure q-commutations off
         # _crossing[later][earlier], None where the rule has a tail: the
@@ -441,7 +446,7 @@ class Presentation:
                 if splice and a > 1 and b > 1:
                     m1, m2 = list(self._unit), list(self._unit)
                     m1[g], m2[h] = a, b
-                    block = self._product(tuple(m1), tuple(m2), "right")
+                    block = self._product(tuple(m1), tuple(m2))
                     words = [(self._word_of_mono(m), bc) for m, bc in block.items()]
                     head, rest = w[:pos], w[pos + 2:]
                 else:
@@ -571,11 +576,12 @@ class Presentation:
             return Element(self, x.terms)
         return Element(self, self._reduce(1, self._validate_word(x), strategy))
 
-    def _product(self, m1, m2, strategy="left"):
+    def _product(self, m1, m2):
         """m1*m2 as a {monomial: coeff} map, kept in the pair cache: the
-        closed form where no tail rule crosses, the table fill of a block
-        g^a*h^b with a, b >= 2 whose rule is in `_weyl`, else the normal
-        form of the joined word along `strategy`."""
+        closed form where no tail rule crosses; for a block g^a*h^b with
+        a, b >= 2, the table fill when its rule is in `_weyl`, else its
+        normal form along "right", which reads no block, so the entry is
+        filled once; else the normal form of the joined word."""
         cache = self._pair_cache
         prod = cache.get((m1, m2))
         if prod is None:
@@ -583,10 +589,13 @@ class Presentation:
             if prod is None:
                 word = self._word_of_mono(m1) + self._word_of_mono(m2)
                 (g, a), (h, b) = word[0], word[-1]
-                if len(word) == 2 and (g, h) in self._weyl and a > 1 and b > 1:
-                    prod = self._weyl_block(g, a, h, b)
+                if len(word) == 2 and a > 1 and b > 1:
+                    if (g, h) in self._weyl:
+                        prod = self._weyl_block(g, a, h, b)
+                    else:
+                        prod = self._reduce(1, word, "right")
                 else:
-                    prod = self._reduce(1, word, strategy)
+                    prod = self._reduce(1, word)
             if len(cache) >= _PAIRS_CAP:
                 cache.clear()
             cache[(m1, m2)] = prod
@@ -673,8 +682,18 @@ class Presentation:
         return Presentation(self.table, rules)
 
     def specialize(self, q0) -> "Presentation":
-        """Presentation over exact rationals with q evaluated at q0."""
-        return self.map_scalars(lambda s: evaluate(s, q0))
+        """Presentation over exact rationals with q evaluated at q0, built
+        once per value of q0 and kept with its rules and pair cache, so
+        callers share it and must not change it; `map_scalars` makes a
+        fresh copy."""
+        q0 = Fraction(q0)
+        pres = self._specialized.get(q0)
+        if pres is None:
+            pres = self.map_scalars(lambda s: evaluate(s, q0))
+            if len(self._specialized) >= _SPECIALIZED_CAP:
+                self._specialized.clear()
+            self._specialized[q0] = pres
+        return pres
 
     # -- rendering -------------------------------------------------------------------
 

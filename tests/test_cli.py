@@ -4,6 +4,8 @@ import argparse
 import io
 import json
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -258,6 +260,39 @@ def test_a_q_that_is_no_admissible_rational_exits_2(argv, err, capsys):
     code, out = run_cli(argv)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+Q_WORDS = ["E^3*c^2", "b^2*F^3", "E*c*b*F", "K*E^2*c*a^-1", "phi1*E+phi2"]
+
+
+def test_nf_at_q0_specializes_once_per_process(monkeypatch):
+    """Five `nf --q=3/2` calls on Dq at (2, 3) build the specialized Dq
+    once and reuse it; each prints the bytes of a fresh process."""
+    p = qheis.params(2, 3)
+    argv = ["nf", "--algebra", "Dq", "--m", "2", "--n", "3", "--q=3/2"]
+    assert run_cli(argv[:-1] + ["E"])[0] == 0  # the preset and its primed images
+    qheis.presets.make_Dq(p)._specialized.clear()
+    built = []
+    init = qheis.rewrite.Presentation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qheis.rewrite.Presentation, "__init__", counted)
+    outs = [run_cli(argv + [word]) for word in Q_WORDS]
+    assert len(built) == 1
+    code = "import sys; from qheis.cli import main; sys.exit(main(sys.argv[1:]))"
+    for word, (status, out) in zip(Q_WORDS, outs):
+        fresh = subprocess.run(
+            [sys.executable, "-c", code, *argv, word],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "0"},
+            check=True,
+        )
+        assert (status, out) == (0, fresh.stdout)
 
 
 def test_verify_deterministic_and_exit_zero():

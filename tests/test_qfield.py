@@ -1,5 +1,6 @@
 """Exact coefficient field: canonical form, arithmetic, evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -411,3 +412,117 @@ def test_inexact_division_raises(a, b):
     over 2 is not integral."""
     with pytest.raises(ArithmeticError, match="inexact"):
         qfield._pdiv_exact(a, b)
+
+
+@_fast
+@given(
+    a=st.lists(_wide, max_size=10),
+    b=st.lists(_wide, min_size=1, max_size=6).filter(lambda b: b[-1]),
+    sa=st.integers(1, 5),
+    sb=st.integers(1, 5),
+    oa=st.integers(0, 3),
+    ob=st.integers(0, 3),
+)
+def test_division_steps_over_strided_divisors(a, b, sa, sb, oa, ob):
+    """Exact division and the pseudo-remainder, which step over the
+    nonzero slots of the divisor only, against division by a strided
+    divisor and against a pseudo-remainder that steps over every slot."""
+    a, b = qfield._trim(_strided(a, sa, oa)), qfield._trim(_strided(b, sb, ob))
+    assert qfield._pdiv_exact(qfield._pmul(a, b), b) == a
+    r, dg, lg = list(a), len(b) - 1, b[-1]
+    while len(r) - 1 >= dg and r:
+        c, s = r[-1], len(r) - 1 - dg
+        r = [lg * x for x in r[:-1]]
+        for i in range(dg):
+            r[s + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    assert qfield._prem(list(a), list(b)) == r
+
+
+@_fast
+@given(a=st.lists(_wide, max_size=8))
+def test_content_is_the_gcd_of_every_coefficient(a):
+    g = 0
+    for x in a:
+        g = math.gcd(g, abs(x))
+    assert qfield._content(a) == g
+
+
+# ---------------------------------------------------------------------------
+# evaluation at q0 on the integers
+
+
+def _fraction_horner(a, q0):
+    """The value of a at q0 by Horner's rule over Fractions, every step
+    normalized: the reference for the integer evaluation."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * q0 + c
+    return acc
+
+
+def _reference_evaluate(x, q0):
+    return q0**x.shift * _fraction_horner(x.num, q0) / _fraction_horner(x.den, q0)
+
+
+_points = st.builds(
+    lambda sign, u, v: sign * Fraction(u, v),
+    st.sampled_from([1, -1]),
+    st.integers(1, 40),
+    st.integers(1, 40),
+).filter(lambda q0: q0 not in (1, -1))
+_canonical = st.builds(
+    lambda num, den, sn, sd, on, od, k: QScalar.from_num_den(
+        _strided(num, sn, on), _strided(den, sd, od), shift=k
+    ),
+    st.lists(_wide, max_size=8),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(-6, 6),
+)
+
+
+@_fast
+@given(x=_canonical, q0=_points)
+def test_evaluate_matches_the_fraction_horner(x, q0):
+    """Canonical scalars with strided, negative and wide coefficients, the
+    zero scalar among them, at q0 = +-u/v: the integer evaluation gives
+    the value of the Fraction Horner loop, or the same pole."""
+    if _fraction_horner(x.den, q0) == 0:
+        with pytest.raises(EvaluationPole):
+            x.evaluate(q0)
+        return
+    got = x.evaluate(q0)
+    assert got.__class__ is Fraction and got == _reference_evaluate(x, q0)
+
+
+def test_evaluate_of_zero_and_of_an_integer_point():
+    assert ZERO.evaluate(Fraction(3, 2)) == 0
+    x = QScalar.from_num_den((3, 0, -2), (5, 1), shift=-2)
+    for q0 in (2, -2, Fraction(-7, 3)):
+        assert x.evaluate(q0) == _reference_evaluate(x, Fraction(q0))
+
+
+@pytest.mark.parametrize("q0", [0, 1, -1, Fraction(2, 2), Fraction(-3, 3)])
+def test_excluded_points_raise_invalid_parameter(q0):
+    for x in (ZERO, ONE, qpow(3), (ONE - qpow(2)).inv()):
+        with pytest.raises(InvalidParameter, match="is excluded"):
+            x.evaluate(q0)
+
+
+@pytest.mark.parametrize("q0", [2, Fraction(-1, 2), Fraction(3, 2)])
+def test_a_vanishing_denominator_raises_a_pole(q0):
+    """(1 - q^2)/((2 - q)(1 + 2q)(2 - 3q)) has a pole at each of 2, -1/2 and
+    2/3; a zero numerator does not hide it."""
+    den = qfield._pmul(qfield._pmul((2, -1), (1, 2)), (2, -3))
+    for num in ((1, 0, -1), (1,)):
+        x = QScalar.from_num_den(num, den)
+        if q0 == Fraction(3, 2):
+            assert x.evaluate(q0) == _reference_evaluate(x, Fraction(q0))
+            continue
+        with pytest.raises(EvaluationPole, match="denominator vanishes"):
+            x.evaluate(q0)

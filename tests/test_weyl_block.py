@@ -136,3 +136,23 @@ def test_premises_pick_the_fill(build, g, h, weyl, monkeypatch):
     assert calls == (["left"] if weyl else ["left", "right"])
     assert _typed(nf.terms) == _typed(expected)
     assert _typed(pres._pair_cache[(_mono(pres, g, 3), _mono(pres, h, 4))]) == _typed(expected)
+
+
+def test_multiply_fills_a_refused_block_once(monkeypatch):
+    """multiply(z^3, y^4) on the filiform algebra, whose rule (z, y) is
+    refused the table: the miss reduces the block once, along "right" as a
+    splice reads it, and keeps one pair-cache entry, the product of the
+    letters.  Reducing along "left" first, whose splice filled and stored
+    the entry along "right" before the outer fill overwrote it, made two
+    `_reduce` calls."""
+    pres = _fresh(_filiform())
+    g, h = pres.index["z"], pres.index["y"]
+    assert (g, h) in pres._rewrites and (g, h) not in pres._weyl
+    expected = _letter_product(pres, [("z", 3), ("y", 4)])
+    calls = _spy_on_reduce(pres, monkeypatch)
+    got = pres.multiply(pres.gen("z", 3), pres.gen("y", 4))
+    assert calls == ["right"]
+    assert list(pres._pair_cache) == [(_mono(pres, g, 3), _mono(pres, h, 4))]
+    assert _typed(got.terms) == _typed(expected)
+    right = _fresh(pres)._reduce(1, [(g, 3), (h, 4)], "right")
+    assert list(_typed(got.terms).items()) == list(_typed(right).items())
