@@ -12,6 +12,16 @@ pivots the new generators add.  The catalog grows I3 and J2(z) from I1 and
 J1(z) from I2, so I1 in I3, I1 in J2(z) and I2 in J1(z) hold by
 construction.  Membership is a semi-decision: Verified is a true
 certificate, NotDetected only means not found at this bound.
+
+The closure does not form a product the span already holds.  A pivot r'
+made from g*r (or r*g) skips its product by h on the other side when that
+side and h come first in the loop order, and on the same side when h < g
+and the rule (g, h) has a scalar tail, as long as the degrees of r, g and
+h add up to at most the bound (multiplicative variables of involutive
+bases, Gerdt and Blinkov 1998).  Proof: (g*r)*h = g*(r*h), and
+h*(g*r) = lam^-1 * (g*(h*r) - T*r); r*h and h*r were reduced before r' was
+inserted, and the FIFO queue closes every row they need before it reaches
+r'.  So the pivots, rows and moves are those of the full closure.
 """
 
 from __future__ import annotations
@@ -167,7 +177,26 @@ class TruncatedIdeal:
 
     def _close(self, queue):
         """Insert every product of a queued pivot with a generator inside
-        the bound, queueing the pivots that creates, until none is left."""
+        the bound, queueing the pivots that creates, until none is left.
+
+        A product the span already holds is not formed.  Let the pivot r'
+        come from the move (s, g, r), so r' = (g*r - sum f_i*row_i) / lc
+        on side s = left (mirrored on the right), each row_i of degree at
+        most deg r + deg g and queued before r'.  When the presentation is
+        additive and deg r + deg g + deg h <= D, r' times h on side t is
+        skipped in two cases:
+
+        (a) t != s and (h, t) comes before (g, s) in the loop order: r*h
+            was reduced into the span before r' was inserted, so
+            (g*r)*h = g*(r*h) is a sum of g times rows queued before r';
+        (b) t = s, h < g and the rule g*h = lam*h*g + T has a scalar T:
+            h*(g*r) = lam^-1 * (g*(h*r) - T*r), with h*r reduced before r'.
+
+        Either way r'*h is a sum of products of rows queued before r',
+        all closed when r' is reached, since the queue is FIFO and degrees
+        add up to at most D; so the product would reduce to zero, and the
+        pivots, rows and moves are those of the full closure.  Generator
+        rows (move "gen") skip nothing."""
         D = self.degree_bound
         sides = ("left",) if self.side == "left" else ("left", "right")
         spres = self.spres
@@ -180,16 +209,22 @@ class TruncatedIdeal:
         additive = all(rule.swap for rule in spres.rules.values()) and not any(
             inv and d for inv, d in zip(table.invertible, table.degrees)
         )
+        scalar_tail = {
+            key for key, rule in spres.rules.items() if not any(any(m) for m, _ in rule.tail)
+        }
         pos = 0
         while pos < len(queue):
             lead = queue[pos]
             pos += 1
             row = Element(spres, dict(self.echelon.rows[lead]))
             room = D - spres.degree_of(lead)
+            implied = self._implied(lead, scalar_tail) if additive else ()
             for gi, g in enumerate(gens):
                 if additive and table.degrees[gi] > room:
                     continue
                 for side in sides:
+                    if (gi, side) in implied:
+                        continue
                     prod = (
                         spres.multiply(g, row) if side == "left" else spres.multiply(row, g)
                     )
@@ -198,6 +233,28 @@ class TruncatedIdeal:
                     new_lead = self._insert(prod.terms, (side, gi, lead))
                     if new_lead is not None:
                         queue.append(new_lead)
+
+    def _implied(self, lead, scalar_tail):
+        """The products (h, side) of the pivot `lead` that the span already
+        holds by case (a) or (b) of `_close`, given the rule keys
+        `scalar_tail` whose tails are scalars; none for a generator row."""
+        move = self._moves[lead][0]
+        if move[0] == "gen":
+            return set()
+        s, g, parent = move
+        degs = self.spres.table.degrees
+        slack = self.degree_bound - self.spres.degree_of(parent) - degs[g]
+        sides = ("left",) if self.side == "left" else ("left", "right")
+        return {
+            (h, t)
+            for h in range(g + 1)
+            for t in sides
+            if degs[h] <= slack
+            and (
+                (t != s and (h < g or s == "right"))
+                or (t == s and h < g and (g, h) in scalar_tail)
+            )
+        }
 
     # -- queries ---------------------------------------------------------------
 

@@ -367,6 +367,19 @@ class Presentation:
         return out
 
     @staticmethod
+    def _joined(left, right):
+        """left + right for merged words: only the seam can join, and where
+        two exponents cancel there the next two letters meet."""
+        i, j, n = len(left), 0, len(right)
+        while i and j < n and left[i - 1][0] == right[j][0]:
+            e = left[i - 1][1] + right[j][1]
+            if e:
+                return left[: i - 1] + [(right[j][0], e)] + right[j + 1 :]
+            i -= 1
+            j += 1
+        return left[:i] + right[j:] if j else left + right
+
+    @staticmethod
     def _descent(word, strategy):
         """Position of the descent `strategy` rewrites next, or -1 if none.
 
@@ -396,7 +409,10 @@ class Presentation:
     def _reduce(self, coeff, word, strategy="left"):
         """Reduce coeff*word to a {monomial: coeff} map.
 
-        A pure q-commutation swap rewrites the current word in place.  When a
+        A pure q-commutation swap rewrites the current word in place.  Words
+        stay merged (no zero exponent, no two equal letters side by side),
+        so after a swap or a splice only the seams can join (`_joined`),
+        and a swap that joins nothing exchanges two entries.  When a
         tail rule fires, its branches that are already normal go straight to
         the result; the others go into a pending map from word to
         coefficient, where equal words add up and a zero sum drops the word.
@@ -416,11 +432,11 @@ class Presentation:
         """
         out = {}
         rules = self.rules
-        merged = self._merged
+        joined = self._joined
         descent = self._descent
         splice = strategy == "left"
         pending = heap = None
-        c, w = coeff, merged(word)
+        c, w = coeff, self._merged(word)
         while True:
             pos = descent(w, strategy)
             if pos < 0:
@@ -431,7 +447,10 @@ class Presentation:
                 rule = rules[(g, h)]
                 if not rule.tail:
                     c = c * rule.swap ** (a * b)
-                    w = merged(w[:pos] + [(h, b), (g, a)] + w[pos + 2:])
+                    if (pos and w[pos - 1][0] == h) or (pos + 2 < len(w) and w[pos + 2][0] == g):
+                        w = joined(joined(w[:pos], [(h, b), (g, a)]), w[pos + 2:])
+                    else:
+                        w[pos], w[pos + 1] = (h, b), (g, a)
                     continue
                 # tails only occur between non-invertible generators, so
                 # a, b >= 1.  A block needs a, b >= 2, so a product with a
@@ -451,10 +470,11 @@ class Presentation:
                     head, rest = w[:pos], w[pos + 2:]
                 else:
                     words = self._rewrites[(g, h)]
-                    head, rest = w[:pos] + [(g, a - 1)], [(h, b - 1)] + w[pos + 2:]
+                    head = w[:pos] + [(g, a - 1)] if a > 1 else w[:pos]
+                    rest = [(h, b - 1)] + w[pos + 2:] if b > 1 else w[pos + 2:]
                 live = []
                 for bw, bc in words:
-                    bc, bw = c * bc, merged(head + bw + rest)
+                    bc, bw = c * bc, joined(joined(head, bw), rest)
                     if descent(bw, "left") < 0:
                         self._collect(out, bc, bw)
                     else:

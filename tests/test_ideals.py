@@ -23,7 +23,7 @@ from qheis.ideals import (
     torus_quotient_map,
 )
 from qheis.morphisms import check_morphism
-from qheis.presets import make_quantum_torus, make_S, params
+from qheis.presets import S_ORDERS, make_quantum_torus, make_S, params
 from qheis.qfield import ONE, QScalar, add_scaled, inverse, qpow
 from qheis.rewrite import Element, Presentation
 from qheis.smodules import QuotientModule, cyclicity_probe
@@ -256,14 +256,14 @@ def test_certificate_replays_every_basis_element(mn):
 
 
 # ---------------------------------------------------------------------------
-# the span without products past the degree bound, against the full closure
+# the span without the products it already holds, against the full closure
 
 
 class ReferenceIdeal(TruncatedIdeal):
-    """The span grown as it was before products past the degree bound were
-    skipped: every queued row times every generator on each side, and each
-    product above the bound thrown away after it was computed.  An
-    extension of a ReferenceIdeal is closed the same way."""
+    """The span grown as it was before products were skipped: every queued
+    row times every generator on each side, and each product above the
+    bound thrown away after it was computed.  An extension of a
+    ReferenceIdeal is closed the same way."""
 
     def _close(self, queue):
         D = self.degree_bound
@@ -297,65 +297,248 @@ def _assert_same_span(ideal, ref):
     assert ideal._moves == ref._moves
 
 
+def _s_at(order, mn, q0):
+    s = make_S(params(*mn), S_ORDERS[order])
+    return s if q0 is None else s.specialize(q0)
+
+
+class _Spied(set):
+    """The products `_implied` returns for one pivot; each one the loop of
+    `_close` asks about is formed anyway and reduced against the echelon
+    as it stands at that moment."""
+
+    def __init__(self, pairs, ideal, lead):
+        super().__init__(pairs)
+        self.ideal, self.lead = ideal, lead
+
+    def __contains__(self, pair):
+        if not super().__contains__(pair):
+            return False
+        ideal = self.ideal
+        spres = ideal.spres
+        row = Element(spres, dict(ideal.echelon.rows[self.lead]))
+        g = spres.gen(spres.table.names[pair[0]])
+        prod = spres.multiply(g, row) if pair[1] == "left" else spres.multiply(row, g)
+        assert prod.degree() <= ideal.degree_bound
+        ideal.spied.append(ideal.echelon.reduce(prod.terms))
+        return True
+
+
+class SpyIdeal(TruncatedIdeal):
+    """A span that appends to `spied` the remainder of each product it
+    skips; a test empties the list first."""
+
+    spied: list = []
+
+    def _implied(self, lead, scalar_tail):
+        return _Spied(super()._implied(lead, scalar_tail), self, lead)
+
+
+def _catalog(cls, monkeypatch, order, mn, q0):
+    """The degree-6 catalog at one z, every span an instance of `cls`."""
+    spres = _s_at(order, mn, q0)
+    z = QScalar(-2) if q0 is None else Fraction(-2)
+    with monkeypatch.context() as patch:
+        patch.setattr(qheis.ideals, "TruncatedIdeal", cls)
+        cat = build_spec_catalog(params(*mn), degree_bound=6, z_samples=(z,), spres=spres)
+    assert all(type(ideal) is cls for ideal in cat.ideals.values())
+    return cat
+
+
 @pytest.mark.parametrize("q0", [None, Fraction(3, 2)], ids=["symbolic", "q0"])
 @pytest.mark.parametrize("mn", [(1, 1), (2, -3)])
 def test_span_skip_matches_full_closure_on_catalog(monkeypatch, mn, q0):
     """The catalog against the same catalog of ReferenceIdeals, whose
-    I3, J1(z) and J2(z) are extensions of reference I1 and I2."""
-    p = params(*mn)
-    spres = make_S(p) if q0 is None else make_S(p).specialize(q0)
-    z = QScalar(-2) if q0 is None else Fraction(-2)
-    cat = build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
-    monkeypatch.setattr(qheis.ideals, "TruncatedIdeal", ReferenceIdeal)
-    ref_cat = build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
-    for name, ideal in cat.ideals.items():
-        ref = ref_cat.ideals[name]
-        assert isinstance(ref, ReferenceIdeal)
-        assert ideal.dimension == ref.dimension, name
-        _assert_same_span(ideal, ref)
+    I3, J1(z) and J2(z) are extensions of reference I1 and I2, in each
+    admissible order: the skipped products depend on the generator order.
+    Each skipped product, formed anyway, reduces to zero."""
+    monkeypatch.setattr(SpyIdeal, "spied", [])
+    for order in S_ORDERS:
+        cat = _catalog(SpyIdeal, monkeypatch, order, mn, q0)
+        ref_cat = _catalog(ReferenceIdeal, monkeypatch, order, mn, q0)
+        for name, ideal in cat.ideals.items():
+            ref = ref_cat.ideals[name]
+            assert ideal.dimension == ref.dimension, (order, name)
+            _assert_same_span(ideal, ref)
+    assert len(SpyIdeal.spied) > 500 and not any(SpyIdeal.spied)
 
 
-def _random_element(rng, s, max_degree):
+def _coeffs(q0):
+    if q0 is None:
+        return [ONE, -ONE, QScalar(2), qpow(1), qpow(-2)]
+    return [Fraction(1), Fraction(-1), Fraction(2), Fraction(3, 2), Fraction(-4, 9)]
+
+
+def _random_element(rng, s, max_degree, coeffs):
     terms = {}
     for _ in range(rng.randint(1, 3)):
         mono = [0] * len(s.table.names)
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.randrange(len(mono))] += 1
-        terms[tuple(mono)] = rng.choice([ONE, -ONE, QScalar(2), qpow(1), qpow(-2)])
+        terms[tuple(mono)] = rng.choice(coeffs)
     return s.normal_form(Element(s, terms))
 
 
-def _random_term(rng, s, max_degree):
+def _random_term(rng, s, max_degree, coeffs):
     mono = [0] * len(s.table.names)
     for _ in range(rng.randint(0, max_degree)):
         mono[rng.randrange(len(mono))] += 1
-    return s.monomial(tuple(mono)).scale(rng.choice([ONE, QScalar(-3), qpow(2)]))
+    return s.monomial(tuple(mono)).scale(rng.choice(coeffs[2:]))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_span_skip_matches_full_closure_on_random_generators(seed):
-    rng = random.Random(seed)
-    s = make_S(params(*[(1, 1), (2, -3), (1, -1), (2, 3)][seed]))
-    gens = [_random_element(rng, s, 2) for _ in range(rng.randint(1, 2))]
-    # one term: with a third generic element the left span at (2, 3)
-    # swells in its coefficients and runs for minutes, from scratch too
-    more = [_random_term(rng, s, 2)]
+# mixed-sign (m, n); with a third generic element the left span at (2, 3)
+# swells in its coefficients and runs for minutes, from scratch too, so the
+# extension adds one term
+RANDOM_MN = [(1, 1), (2, -3), (1, -1), (2, 3), (-1, 2), (-2, -1)]
+
+
+def _random_spans(cls, seed, order, q0):
+    """(span, its extension by one term) of random generators at degree 4,
+    left and two-sided, as `cls` and as ReferenceIdeal."""
+    rng = random.Random(f"{seed}-{order}-{q0}")
+    s = _s_at(order, RANDOM_MN[seed], q0)
+    coeffs = _coeffs(q0)
+    gens = [_random_element(rng, s, 2, coeffs) for _ in range(rng.randint(1, 2))]
+    more = [_random_term(rng, s, 2, coeffs)]
     for side in ("left", "twoSided"):
-        ideal = ideal_span(s, gens, side=side, degree_bound=4)
+        ideal = cls(s, gens, side, 4)
         ref = ReferenceIdeal(s, ideal.generators, side, 4)
+        yield ideal, ref
+        yield ideal.extend(more), ref.extend(more)
+
+
+@pytest.mark.parametrize("seed", range(len(RANDOM_MN)))
+def test_span_skip_matches_full_closure_on_random_generators(monkeypatch, seed):
+    """Random spans at RANDOM_MN[seed] in each admissible order, symbolic
+    and at q0 = 3/2: left, two-sided and their extensions.  Each skipped
+    product, formed anyway, reduces to zero."""
+    monkeypatch.setattr(SpyIdeal, "spied", [])
+    for order in S_ORDERS:
+        for q0 in (None, Fraction(3, 2)):
+            for ideal, ref in _random_spans(SpyIdeal, seed, order, q0):
+                _assert_same_span(ideal, ref)
+    assert len(SpyIdeal.spied) > 100 and not any(SpyIdeal.spied)
+
+
+# two rules that skip products the span need not hold yet: each must make
+# the differential checks fail
+
+
+class SameSideUpToG(TruncatedIdeal):
+    """Case (b) with h <= g and whatever the tail."""
+
+    def _implied(self, lead, scalar_tail):
+        got = super()._implied(lead, scalar_tail)
+        move = self._moves[lead][0]
+        if move[0] == "gen":
+            return got
+        side, g, _ = move
+        return got | {(h, side) for h in range(g + 1)}
+
+
+class EveryCrossSide(TruncatedIdeal):
+    """Case (a) for every (h, t) with t != s."""
+
+    def _implied(self, lead, scalar_tail):
+        got = super()._implied(lead, scalar_tail)
+        move = self._moves[lead][0]
+        if move[0] == "gen" or self.side == "left":
+            return got
+        other = "right" if move[0] == "left" else "left"
+        return got | {(h, other) for h in range(len(self.spres.table.names))}
+
+
+def _differs(ideal, ref):
+    try:
         _assert_same_span(ideal, ref)
-        _assert_same_span(ideal.extend(more), ref.extend(more))
+    except AssertionError:
+        return True
+    return False
 
 
-def test_span_keeps_products_that_lower_the_degree():
+@pytest.mark.parametrize("mutant", [SameSideUpToG, EveryCrossSide])
+def test_differential_checks_catch_a_wrong_skip_rule(monkeypatch, mutant):
+    """Skipping products that are not yet in the span changes the pivots,
+    their order or their moves somewhere in the catalog and random spans."""
+    caught = 0
+    for order in S_ORDERS:
+        cat = _catalog(mutant, monkeypatch, order, (2, -3), None)
+        ref_cat = _catalog(ReferenceIdeal, monkeypatch, order, (2, -3), None)
+        caught += sum(_differs(cat.ideals[name], ref_cat.ideals[name]) for name in cat.ideals)
+        for seed in range(len(RANDOM_MN)):
+            caught += sum(_differs(*pair) for pair in _random_spans(mutant, seed, order, None))
+    assert caught > 0
+
+
+def _tail_after_g():
+    """z*y = q*y*z + x^2 with x central, y and z of degree 2 and x of degree
+    1.  The tail is not a scalar, and x sorts after z: from a pivot r' =
+    z*r, y*r' needs x*(x*r), whose inner pivot is queued after r', so case
+    (b) must not skip y*r'."""
+    return Presentation.from_relations(
+        names=("y", "z", "x"),
+        invertible=(False,) * 3,
+        degrees=(2, 2, 1),
+        relations=[
+            ("z", "y", qpow(1), [(ONE, [("x", 2)])]),
+            ("x", "y", ONE, []),
+            ("x", "z", ONE, []),
+        ],
+    )
+
+
+class AnyTail(TruncatedIdeal):
+    """Case (b) whatever the tail of the rule (g, h)."""
+
+    def _implied(self, lead, scalar_tail):
+        return super()._implied(lead, set(self.spres.rules))
+
+
+def test_a_non_scalar_tail_turns_case_b_off(monkeypatch):
+    """On an additive toy with a non-scalar tail no pivot from z skips its
+    same-side product by y, the span equals the full closure on both
+    sides, and the rule that ignores the tail differs from it on both."""
+    h = _tail_after_g()
+    assert h.check_confluence().ok
+    gens = [h.gen("y") + h.gen("x")]
+    seen = []
+    original = TruncatedIdeal._implied
+
+    def implied(self, lead, scalar_tail):
+        got = original(self, lead, scalar_tail)
+        move = self._moves[lead][0]
+        if move[0] != "gen" and move[1] == 1:
+            seen.append(got)
+            assert (0, move[0]) not in got
+        return got
+
+    caught = 0
+    for side in ("left", "twoSided"):
+        with monkeypatch.context() as patch:
+            patch.setattr(TruncatedIdeal, "_implied", implied)
+            ideal = ideal_span(h, gens, side=side, degree_bound=7)
+        ref = ReferenceIdeal(h, ideal.generators, side, 7)
+        _assert_same_span(ideal, ref)
+        caught += _differs(AnyTail(h, gens, side, 7), ref)
+    assert seen and caught == 2
+
+
+def test_span_keeps_products_that_lower_the_degree(monkeypatch):
     """In a quantum torus x has degree 1 and x^-1 degree 0, so x * x^-1 = 1
     lies inside bound 0 although the degrees of its factors add up to 1;
-    the span must compute that product."""
+    the span must compute that product.  The torus is not additive, so the
+    span skips no product: it forms every one the full closure forms."""
     t = make_quantum_torus(("x", "y"), [[ONE, qpow(1)], [qpow(-1), ONE]])
+    counts = {}
+    _count_calls(monkeypatch, Presentation, "multiply", counts)
+    _count_calls(monkeypatch, TruncatedIdeal, "_implied", counts)
     ideal = ideal_span(t, [t.gen("x", -1)], degree_bound=0)
+    products = counts.pop("multiply")
     assert ideal.dimension == 2
     assert ideal.member(t.one()) == "Verified"
-    _assert_same_span(ideal, ReferenceIdeal(t, ideal.generators, "twoSided", 0))
+    ref = ReferenceIdeal(t, ideal.generators, "twoSided", 0)
+    _assert_same_span(ideal, ref)
+    assert counts == {"multiply": products}
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -382,23 +565,38 @@ def test_span_computes_no_product_it_throws_away(monkeypatch, side):
 
 
 def test_catalog_work_counts(monkeypatch):
-    """Products and scalar canonicalizations of one catalog, on a fresh
-    presentation so that every reduction misses the pair cache.  The full
-    closure took 4,128 products and 51,446 canonicalizations, and
-    subtracting every row update (zeros included) and multiplying by the
-    int 1 took 17,695 canonicalizations.  Building all six ideals from
-    scratch, without growing I3, J1(z) and J2(z) from I1 and I2, took
-    2,128 products and 4,078 canonicalizations.  Canonicalizing the
-    QScalar(int) that a product or sum with an int builds first took
-    3,051.  Powers that started from one() took 1,288 products."""
+    """Products, scalar canonicalizations, insert attempts and pivots of one
+    catalog, on a fresh presentation so that every reduction misses the
+    pair cache.  The full closure took 4,128 products and 51,446
+    canonicalizations, and subtracting every row update (zeros included)
+    and multiplying by the int 1 took 17,695 canonicalizations.  Building
+    all six ideals from scratch, without growing I3, J1(z) and J2(z) from I1
+    and I2, took 2,128 products and 4,078 canonicalizations.  Canonicalizing
+    the QScalar(int) that a product or sum with an int builds first took
+    3,051.  Powers that started from one() took 1,288 products.  Forming the
+    products that associativity and the scalar-tail relations imply took
+    1,284 products, 2,390 canonicalizations and 1,285 insert attempts for
+    the same 305 pivots."""
     p = params(1, 1)
     spres = make_S.__wrapped__(p)
     z = QScalar(7)
     counts = {}
     _count_calls(monkeypatch, Presentation, "multiply", counts)
     _count_calls(monkeypatch, qheis.qfield, "_canon", counts)
+    insert = TruncatedIdeal._insert
+    pivots = []
+
+    def counted_insert(self, terms, move):
+        counts["_insert"] = counts.get("_insert", 0) + 1
+        lead = insert(self, terms, move)
+        if lead is not None:
+            pivots.append(lead)
+        return lead
+
+    monkeypatch.setattr(TruncatedIdeal, "_insert", counted_insert)
     build_spec_catalog(p, degree_bound=6, z_samples=(z,), spres=spres)
-    assert counts == {"multiply": 1284, "_canon": 2390}
+    assert counts == {"multiply": 656, "_canon": 1226, "_insert": 657}
+    assert len(pivots) == 305
 
 
 def test_ideals_suite_builds_only_the_ideals_it_reads(monkeypatch):

@@ -129,3 +129,52 @@ def test_pending_words_that_cancel_are_dropped():
     got = pres._reduce(1, list(word), "left")
     assert got == reference_reduce(pres, 1, list(word))
     assert got == {(1, 1, 1): ONE, (0, 0, 2): -qpow(1)}
+
+
+def _random_merged(rng, letters, length):
+    return _merge([(rng.randrange(letters), rng.choice([-2, -1, 1, 2])) for _ in range(length)])
+
+
+def test_joined_equals_merging_the_whole_word():
+    """Two merged words joined at their seam equal the merge of their
+    concatenation, cascades included: x*y^2*z times z^-1*y^-2*x merges
+    three times across the seam and leaves x^2."""
+    joined = Presentation._joined
+    assert joined([(0, 1), (1, 2), (2, 1)], [(2, -1), (1, -2), (0, 1)]) == [(0, 2)]
+    assert joined([(0, 1), (1, 2)], [(1, -2), (0, -1)]) == []
+    assert joined([(0, 1)], [(0, 2), (1, 1)]) == [(0, 3), (1, 1)]
+    assert joined([], [(1, 1)]) == [(1, 1)] and joined([(1, 1)], []) == [(1, 1)]
+    rng = random.Random(7)
+    cascades = 0
+    for _ in range(2000):
+        left = _random_merged(rng, 3, rng.randint(0, 5))
+        right = _random_merged(rng, 3, rng.randint(0, 5))
+        got = joined(left, right)
+        assert got == _merge(left + right), (left, right)
+        cascades += len(got) < len(left) + len(right) - 1
+    assert cascades > 50
+
+
+def test_swap_that_cancels_across_both_seams(monkeypatch):
+    """In the quantum torus on x, y, the rightmost descent of
+    y^-1*x^-1*y*x swaps y and x; y^-1*y then cancels at the seam and
+    x^-1*x after it, leaving the empty word with coefficient q^-1: every
+    strategy agrees with the stack reducer."""
+    from qheis.presets import make_quantum_torus
+
+    t = make_quantum_torus(("x", "y"), [[ONE, qpow(1)], [qpow(-1), ONE]])
+    word = [(1, -1), (0, -1), (1, 1), (0, 1)]
+    seen = []
+    joined = Presentation._joined
+
+    def spy(left, right):
+        got = joined(left, right)
+        seen.append((left, right, got))
+        return got
+
+    monkeypatch.setattr(Presentation, "_joined", staticmethod(spy))
+    expected = reference_reduce(t, 1, list(word))
+    assert expected == {(0, 0): qpow(-1)}
+    for strategy in ("left", "right", random.Random(3)):
+        assert t._reduce(1, list(word), strategy) == expected
+    assert any(left and right and not got for left, right, got in seen)
