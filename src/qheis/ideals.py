@@ -11,7 +11,10 @@ can grow from a closed one: `extend` shares its rows and closes only the
 pivots the new generators add.  The catalog grows I3 and J2(z) from I1 and
 J1(z) from I2, so I1 in I3, I1 in J2(z) and I2 in J1(z) hold by
 construction.  Membership is a semi-decision: Verified is a true
-certificate, NotDetected only means not found at this bound.
+certificate, NotDetected only means not found at this bound.  By the same
+least-subspace property a span lies in another span closed on its sides
+once its generators do, when the presentation is additive: the probe
+reduces one row per generator, not every basis row.
 
 The closure does not form a product the span already holds.  A pivot r'
 made from g*r (or r*g) skips its product by h on the other side when that
@@ -112,6 +115,18 @@ class Echelon:
         return new
 
 
+def _additive(spres: Presentation) -> bool:
+    """Whether deg(g*x) = deg g + deg x, so that a product past the bound
+    need not be computed: the associated graded ring is a q-skew
+    polynomial ring (a domain) when tails lower the degree, no swap is
+    zero, and every invertible generator has degree 0 (in a torus,
+    x*x^-1 = 1)."""
+    table = spres.table
+    return all(rule.swap for rule in spres.rules.values()) and not any(
+        inv and d for inv, d in zip(table.invertible, table.degrees)
+    )
+
+
 class TruncatedIdeal:
     """Row-echelon span of a two-sided (or left) ideal inside a degree bound.
 
@@ -133,6 +148,7 @@ class TruncatedIdeal:
         self.generators = (base.generators if base else []) + new
         self.side = side
         self.degree_bound = degree_bound
+        self.additive = _additive(spres)
         self.echelon = base.echelon.copy() if base else Echelon(spres.term_key)
         # provenance: pivot lead -> (move, lead coeff before normalization,
         # reduction steps at insert); a move is ("gen", idx) or
@@ -202,13 +218,7 @@ class TruncatedIdeal:
         spres = self.spres
         table = spres.table
         gens = [spres.gen(name) for name in table.names]
-        # deg(g*x) = deg g + deg x, so a product past the bound need not be
-        # computed, when the associated graded ring is a q-skew polynomial
-        # ring (a domain): tails lower the degree, no swap is zero, and every
-        # invertible generator has degree 0 (in a torus, x*x^-1 = 1).
-        additive = all(rule.swap for rule in spres.rules.values()) and not any(
-            inv and d for inv, d in zip(table.invertible, table.degrees)
-        )
+        additive = self.additive
         scalar_tail = {
             key for key, rule in spres.rules.items() if not any(any(m) for m, _ in rule.tail)
         }
@@ -356,11 +366,30 @@ class ContainmentReport:
 
 
 def containment_probe(small: TruncatedIdeal, big: TruncatedIdeal) -> ContainmentReport:
-    """Check every basis element of `small` for membership in `big`."""
+    """Contained when every basis element of `small` lies in `big`, else
+    NotDetectedAtBound with the first basis element that `big` misses.
+
+    Both spans must share one presentation object and one degree bound.
+    When that presentation is additive and `big` is closed on each side
+    `small` is (`big` two-sided, or both on one side), the generators of
+    `small` decide: `small` is the least subspace holding its generators
+    and closed under the letter products within the bound, and `big` is
+    such a subspace once it holds them (the echelon key is graded, so an
+    element of `big` is a sum of rows of at most its degree, and `big` is
+    closed under its elements' products within the bound).  So one
+    membership per generator answers Contained.  Otherwise, or when a
+    generator is missing, every basis row is reduced, which finds the
+    witness."""
     if small.degree_bound != big.degree_bound:
         raise BoundMismatch("containment probe needs equal degree bounds")
-    if small.spres.table.names != big.spres.table.names:
-        raise BoundMismatch("containment probe needs the same algebra")
+    if small.spres is not big.spres:
+        raise BoundMismatch("containment probe needs the same presentation")
+    if (
+        big.additive
+        and big.side in ("twoSided", small.side)
+        and all(big.member(g) == "Verified" for g in small.generators if g)
+    ):
+        return ContainmentReport("Contained")
     for row in small.basis():
         if big.member(row) != "Verified":
             return ContainmentReport("NotDetectedAtBound", witness=row)
@@ -460,7 +489,10 @@ def spec_diagram(catalog: SpecCatalog):
     Edges below the commutator ideals follow the displayed containment
     diagram; the outer edges between the z-families and I1/I2 are probed
     and reported without being asserted (documented inconsistency between
-    the diagram and the monomial-avoidance statement).
+    the diagram and the monomial-avoidance statement).  The catalog spans
+    are two-sided in one presentation, so a Contained edge costs one
+    membership per generator of the smaller ideal; a NotDetectedAtBound
+    edge still reduces the smaller basis up to its witness.
     """
     edges = []
     names = catalog.named()

@@ -102,12 +102,59 @@ def test_containment_i1_vs_j1_recorded(cat11):
 
 
 def test_bound_mismatch(p11):
+    """Spans of two bounds are refused, and so are spans of two
+    presentations with the same letters, as for an extension: I1 at
+    q0 = 3/2 against the symbolic I1 was reported NotDetectedAtBound."""
     s = make_S(p11)
+    s0 = s.specialize(Fraction(3, 2))
     phi1, phi2 = phi_elements(s)
     a = ideal_span(s, [phi1], degree_bound=4)
     b = ideal_span(s, [phi2], degree_bound=6)
-    with pytest.raises(BoundMismatch):
-        containment_probe(a, b)
+    at_q0 = ideal_span(s0, phi_elements(s0)[:1], degree_bound=4)
+    twin = ideal_span(make_S.__wrapped__(p11), [phi1], degree_bound=4)
+    for small, big in ((a, b), (at_q0, a), (a, at_q0), (a, twin)):
+        with pytest.raises(BoundMismatch):
+            containment_probe(small, big)
+
+
+def test_two_sided_span_is_not_contained_in_its_left_span(p11):
+    """The left span holds the generator of the two-sided span but not its
+    right multiples, so generators alone do not decide this edge; the
+    left span lies in the two-sided one."""
+    s = make_S(p11)
+    g = s.multiply(s.gen("Ep"), s.gen("Fp")) + s.gen("cp")
+    two = ideal_span(s, [g], side="twoSided", degree_bound=4)
+    left = ideal_span(s, [g], side="left", degree_bound=4)
+    assert (two.dimension, left.dimension) == (70, 15)
+    assert left.member(g) == "Verified"
+    report = containment_probe(two, left)
+    assert report.status == "NotDetectedAtBound"
+    assert left.member(report.witness) == "NotDetected"
+    assert containment_probe(left, two).status == "Contained"
+
+
+def test_contained_edge_reduces_one_row_per_generator(monkeypatch, cat11):
+    """I2 in I3 at degree 8 reduces the one generator of I2, where the
+    row scan reduced all 210 rows of I2."""
+    small, big = cat11.ideals["I2"], cat11.ideals["I3"]
+    assert (len(small.generators), small.dimension) == (1, 210)
+    counts = {}
+    _count_calls(monkeypatch, Echelon, "reduce", counts)
+    assert containment_probe(small, big).status == "Contained"
+    assert counts == {"reduce": 1}
+
+
+def test_containment_scans_rows_in_a_non_additive_presentation(monkeypatch):
+    """In a quantum torus a product can lower the degree, so the span need
+    not be closed under the products of its elements within the bound:
+    the probe reduces every row, not the generators."""
+    t = make_quantum_torus(("x", "y"), [[ONE, qpow(1)], [qpow(-1), ONE]])
+    ideal = ideal_span(t, [t.gen("x", -1)], degree_bound=0)
+    assert not ideal.additive and ideal.dimension == 2
+    counts = {}
+    _count_calls(monkeypatch, Echelon, "reduce", counts)
+    assert containment_probe(ideal, ideal).status == "Contained"
+    assert counts == {"reduce": 2}
 
 
 def test_monotonicity_in_degree(p11):
@@ -369,11 +416,11 @@ def _coeffs(q0):
     return [Fraction(1), Fraction(-1), Fraction(2), Fraction(3, 2), Fraction(-4, 9)]
 
 
-def _random_element(rng, s, max_degree, coeffs):
+def _random_element(rng, s, max_degree, coeffs, min_degree=0):
     terms = {}
     for _ in range(rng.randint(1, 3)):
         mono = [0] * len(s.table.names)
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(rng.randint(min_degree, max_degree)):
             mono[rng.randrange(len(mono))] += 1
         terms[tuple(mono)] = rng.choice(coeffs)
     return s.normal_form(Element(s, terms))
@@ -662,8 +709,8 @@ def test_extended_catalog_ideals_match_spans_from_scratch(mn, deg, q0):
         assert ideal.generators[0] == cat.ideals[base].generators[0], name
         scratch = ideal_span(spres, gens[name], degree_bound=deg)
         assert ideal.dimension == scratch.dimension, name
-        assert containment_probe(ideal, scratch).status == "Contained", name
-        assert containment_probe(scratch, ideal).status == "Contained", name
+        assert all(scratch.member(row) == "Verified" for row in ideal.basis()), name
+        assert all(ideal.member(row) == "Verified" for row in scratch.basis()), name
 
 
 def test_extension_needs_the_base_presentation_side_and_bound(p11):
@@ -679,6 +726,61 @@ def test_extension_needs_the_base_presentation_side_and_bound(p11):
         with pytest.raises(BoundMismatch):
             TruncatedIdeal(spres, [phi2], side, bound, base=base)
     assert base.extend([phi2]).dimension == 125
+
+
+# ---------------------------------------------------------------------------
+# containment decided by the generators, against the row scan
+
+
+def _row_scan(small, big):
+    """The probe before generators decided it: every basis row of `small`
+    in basis order, the first one `big` misses as the witness."""
+    for row in small.basis():
+        if big.member(row) != "Verified":
+            return "NotDetectedAtBound", row
+    return "Contained", None
+
+
+def _random_containment_spans(seed):
+    """Left and two-sided spans at bound 4: of a random a without a
+    constant term (a constant makes most two-sided spans the whole degree
+    piece), of a and a term b (a second generic element swells the
+    coefficients of the left span), of c = x*phi_i, of c and a, and of
+    y*c and c*y."""
+    mn = ((1, 1), (2, -3))[seed % 2]
+    q0 = (None, Fraction(3, 2))[seed // 2 % 2]
+    rng = random.Random(f"containment-{seed}")
+    s = make_S(params(*mn))
+    s = s if q0 is None else s.specialize(q0)
+    coeffs = _coeffs(q0)
+    x, y = (_random_term(rng, s, 1, coeffs) for _ in range(2))
+    phi = rng.choice(phi_elements(s))
+    a = _random_element(rng, s, 2, coeffs, min_degree=1)
+    b = _random_term(rng, s, 2, coeffs)
+    c = s.multiply(x, phi)
+    spans = []
+    for side in ("left", "twoSided"):
+        a_span, c_span = ideal_span(s, [a], side, 4), ideal_span(s, [c], side, 4)
+        spans += [a_span, a_span.extend([b]), c_span, c_span.extend([a])]
+        spans += [ideal_span(s, [g], side, 4) for g in (s.multiply(y, c), s.multiply(c, y))]
+    return spans
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_containment_matches_the_row_scan(seed):
+    """Every ordered pair of random spans at (1,1) and (2,-3), symbolic
+    and at q0 = 3/2, both sides: the status and the witness are those of
+    the row scan."""
+    spans = _random_containment_spans(seed)
+    seen = set()
+    for small in spans:
+        for big in spans:
+            report = containment_probe(small, big)
+            status, witness = _row_scan(small, big)
+            assert (report.status, report.witness) == (status, witness)
+            seen.add((status, small.side, big.side))
+    assert {status for status, _, _ in seen} == {"Contained", "NotDetectedAtBound"}
+    assert ("Contained", "left", "twoSided") in seen
 
 
 def test_closing_i3_from_i1_takes_few_products(monkeypatch):
