@@ -16,15 +16,21 @@ least-subspace property a span lies in another span closed on its sides
 once its generators do, when the presentation is additive: the probe
 reduces one row per generator, not every basis row.
 
-The closure does not form a product the span already holds.  A pivot r'
-made from g*r (or r*g) skips its product by h on the other side when that
-side and h come first in the loop order, and on the same side when h < g
-and the rule (g, h) has a scalar tail, as long as the degrees of r, g and
-h add up to at most the bound (multiplicative variables of involutive
-bases, Gerdt and Blinkov 1998).  Proof: (g*r)*h = g*(r*h), and
-h*(g*r) = lam^-1 * (g*(h*r) - T*r); r*h and h*r were reduced before r' was
-inserted, and the FIFO queue closes every row they need before it reaches
-r'.  So the pivots, rows and moves are those of the full closure.
+The closure does not form a product the span already holds.  For each
+product (h, t) of a queued pivot r it keeps a reach: the last queue
+position among the rows its reduction used and the pivot it made, -1 for
+a zero product and the last position so far for a skipped one, so r*h is
+a sum of rows queued up to its reach and rows of a closed base.  A pivot
+r' made from g*r (or r*g) skips its product by h on side t when the
+degrees of r, g and h add up to at most the bound, h*(g*r) (or its
+mirror) is g*(h*r) up to a scalar and a multiple of r (on the other side
+by associativity; on the same side when h != g and the rule between g
+and h has a scalar tail), and r*h reaches no further than r'.  Then r'*h
+is a sum of g times rows queued up to r' and of h times rows queued
+before r', and the FIFO queue has formed all of those products before it
+reaches (h, t) on r' (multiplicative variables of involutive bases,
+Gerdt and Blinkov 1998; the F5 criterion, Faugere 2002).  So the pivots,
+rows and moves are those of the full closure.
 """
 
 from __future__ import annotations
@@ -164,7 +170,10 @@ class TruncatedIdeal:
         return type(self)(self.spres, generators, self.side, self.degree_bound, base=self)
 
     def _insert(self, terms, move):
-        steps = []
+        """Reduce `terms` and insert the remainder as a pivot made by
+        `move`; its lead, or None when it reduces to 0.  The steps of the
+        reduction stay in `_steps` until the next insert."""
+        self._steps = steps = []
         got = self.echelon.insert(terms, steps)
         if got is None:
             return None
@@ -195,24 +204,32 @@ class TruncatedIdeal:
         """Insert every product of a queued pivot with a generator inside
         the bound, queueing the pivots that creates, until none is left.
 
-        A product the span already holds is not formed.  Let the pivot r'
-        come from the move (s, g, r), so r' = (g*r - sum f_i*row_i) / lc
-        on side s = left (mirrored on the right), each row_i of degree at
-        most deg r + deg g and queued before r'.  When the presentation is
-        additive and deg r + deg g + deg h <= D, r' times h on side t is
-        skipped in two cases:
+        A product the span already holds is not formed.  For the product
+        (h, t) of a queued pivot r, the reach is the last queue position
+        among the rows its reduction used and the pivot it created; -1
+        when the product is zero, and the last position so far when it is
+        skipped.  So r*h (or h*r) is a sum of rows queued up to
+        reach(r, h, t) and rows of a closed base.  Let the pivot r' come
+        from the move (s, g, r), so r' = (g*r - sum f_i*row_i) / lc on
+        side s = left (mirrored on the right), each row_i queued before r'.
+        When the presentation is additive and deg r + deg g + deg h <= D,
+        r' times h on side t is skipped when
 
-        (a) t != s and (h, t) comes before (g, s) in the loop order: r*h
-            was reduced into the span before r' was inserted, so
-            (g*r)*h = g*(r*h) is a sum of g times rows queued before r';
-        (b) t = s, h < g and the rule g*h = lam*h*g + T has a scalar T:
-            h*(g*r) = lam^-1 * (g*(h*r) - T*r), with h*r reduced before r'.
+        - t != s, where (g*r)*h = g*(r*h); or t = s, h != g and the rule
+          between g and h has a scalar tail, where
+          h*(g*r) = lam^+-1 * g*(h*r) + c*r; and
+        - reach(r, h, t) <= pos(r').
 
-        Either way r'*h is a sum of products of rows queued before r',
-        all closed when r' is reached, since the queue is FIFO and degrees
-        add up to at most D; so the product would reduce to zero, and the
-        pivots, rows and moves are those of the full closure.  Generator
-        rows (move "gen") skip nothing."""
+        Then r'*h is a sum of g times rows queued up to r' and of h times
+        the rows row_i (and c*r), each product inside the bound since
+        degrees add up and the echelon key is graded.  The FIFO queue has
+        formed or skipped all of them before it reaches (h, t) on r': the
+        rows before r' were closed, and a reach of pos(r') means (h, t) on
+        r came after (g, s), which made r', so (g, s) on r' comes first
+        too.  The product would reduce to zero, and the pivots, rows and
+        moves are those of the full closure.  Generator rows (move "gen")
+        skip nothing.  The queue positions (`_pos`) and the reach of each
+        pivot's products (`_reach`) live only while the closure runs."""
         D = self.degree_bound
         sides = ("left",) if self.side == "left" else ("left", "right")
         spres = self.spres
@@ -222,31 +239,44 @@ class TruncatedIdeal:
         scalar_tail = {
             key for key, rule in spres.rules.items() if not any(any(m) for m, _ in rule.tail)
         }
+        self._pos = pos_of = {lead: i for i, lead in enumerate(queue)}
+        self._reach = reach_of = {}
+        slots = len(gens) * len(sides)
         pos = 0
         while pos < len(queue):
             lead = queue[pos]
             pos += 1
-            row = Element(spres, dict(self.echelon.rows[lead]))
+            row = Element(spres, self.echelon.rows[lead])
             room = D - spres.degree_of(lead)
             implied = self._implied(lead, scalar_tail) if additive else ()
+            # a slot past the bound is read by no rule and stays None
+            reach_of[lead] = reach = [None] * slots
             for gi, g in enumerate(gens):
                 if additive and table.degrees[gi] > room:
                     continue
-                for side in sides:
+                for slot, side in enumerate(sides, gi * len(sides)):
                     if (gi, side) in implied:
+                        reach[slot] = len(queue) - 1
                         continue
                     prod = (
                         spres.multiply(g, row) if side == "left" else spres.multiply(row, g)
                     )
-                    if not prod or (not additive and prod.degree() > D):
+                    if not prod:
+                        reach[slot] = -1
+                        continue
+                    if not additive and prod.degree() > D:
                         continue
                     new_lead = self._insert(prod.terms, (side, gi, lead))
-                    if new_lead is not None:
+                    if new_lead is None:
+                        reach[slot] = max(pos_of.get(used, -1) for _, used in self._steps)
+                    else:
+                        reach[slot] = pos_of[new_lead] = len(queue)
                         queue.append(new_lead)
+        del self._pos, self._reach
 
     def _implied(self, lead, scalar_tail):
-        """The products (h, side) of the pivot `lead` that the span already
-        holds by case (a) or (b) of `_close`, given the rule keys
+        """The products (h, side) of the queued pivot `lead` that the span
+        already holds by the reach rule of `_close`, given the rule keys
         `scalar_tail` whose tails are scalars; none for a generator row."""
         move = self._moves[lead][0]
         if move[0] == "gen":
@@ -255,15 +285,15 @@ class TruncatedIdeal:
         degs = self.spres.table.degrees
         slack = self.degree_bound - self.spres.degree_of(parent) - degs[g]
         sides = ("left",) if self.side == "left" else ("left", "right")
+        reach = self._reach[parent]
+        here = self._pos[lead]
         return {
             (h, t)
-            for h in range(g + 1)
-            for t in sides
-            if degs[h] <= slack
-            and (
-                (t != s and (h < g or s == "right"))
-                or (t == s and h < g and (g, h) in scalar_tail)
-            )
+            for h, dh in enumerate(degs)
+            if dh <= slack
+            for ti, t in enumerate(sides)
+            if (t != s or (h != g and (max(g, h), min(g, h)) in scalar_tail))
+            and reach[h * len(sides) + ti] <= here
         }
 
     # -- queries ---------------------------------------------------------------
@@ -275,7 +305,7 @@ class TruncatedIdeal:
     def basis(self):
         rows = self.echelon.rows
         return [
-            Element(self.spres, dict(rows[lead]))
+            Element(self.spres, rows[lead])
             for lead in sorted(self.echelon.order, key=self.spres.term_key)
         ]
 
