@@ -14,7 +14,8 @@ construction.  Membership is a semi-decision: Verified is a true
 certificate, NotDetected only means not found at this bound.  By the same
 least-subspace property a span lies in another span closed on its sides
 once its generators do, when the presentation is additive: the probe
-reduces one row per generator, not every basis row.
+reduces one row per generator, not every basis row, and a generator the
+other span misses is the witness.
 
 The closure does not form a product the span already holds.  For each
 product (h, t) of a queued pivot r it keeps a reach: the last queue
@@ -47,14 +48,13 @@ class Echelon:
     """Row-echelon form of sparse rows {key: coeff}, grown one row at a time.
 
     Each row is monic and stored under its lead, the key that is largest
-    under `key`.  The value of `key` is kept for each distinct term the
-    echelon has seen.
+    under `key`; `rows` keeps the pivots in the order of their insert.
+    The value of `key` is kept for each distinct term the echelon has seen.
     """
 
     def __init__(self, key):
         self.key = key
         self.rows: dict = {}
-        self.order: list = []
         self._keys: dict = {}
 
     def reduce(self, terms, steps=None) -> dict:
@@ -108,15 +108,13 @@ class Echelon:
         lc = rem[lead]
         inv = inverse(lc)
         self.rows[lead] = {m: c * inv for m, c in rem.items()}
-        self.order.append(lead)
         return lead, lc
 
     def copy(self):
-        """An echelon with the same rows, pivot order and key memo.  The row
-        dicts are shared: a row never changes after its insert."""
+        """An echelon with the same rows, in pivot order, and key memo.  The
+        row dicts are shared: a row never changes after its insert."""
         new = type(self)(self.key)
         new.rows = dict(self.rows)
-        new.order = list(self.order)
         new._keys = dict(self._keys)
         return new
 
@@ -306,7 +304,7 @@ class TruncatedIdeal:
         rows = self.echelon.rows
         return [
             Element(self.spres, rows[lead])
-            for lead in sorted(self.echelon.order, key=self.spres.term_key)
+            for lead in sorted(rows, key=self.spres.term_key)
         ]
 
     def member(self, x: Element) -> str:
@@ -328,7 +326,7 @@ class TruncatedIdeal:
         spres = self.spres
         unit = tuple([0] * len(spres.table.names))
         combos: dict = {}
-        for lead in self.echelon.order:
+        for lead in self.echelon.rows:
             move, lc, steps = self._moves[lead]
             if move[0] == "gen":
                 combo = {(unit, move[1], unit): ONE}
@@ -396,8 +394,8 @@ class ContainmentReport:
 
 
 def containment_probe(small: TruncatedIdeal, big: TruncatedIdeal) -> ContainmentReport:
-    """Contained when every basis element of `small` lies in `big`, else
-    NotDetectedAtBound with the first basis element that `big` misses.
+    """Contained when `big` holds all of `small`, else NotDetectedAtBound
+    with the first element of `small` that `big` misses.
 
     Both spans must share one presentation object and one degree bound.
     When that presentation is additive and `big` is closed on each side
@@ -406,23 +404,17 @@ def containment_probe(small: TruncatedIdeal, big: TruncatedIdeal) -> Containment
     and closed under the letter products within the bound, and `big` is
     such a subspace once it holds them (the echelon key is graded, so an
     element of `big` is a sum of rows of at most its degree, and `big` is
-    closed under its elements' products within the bound).  So one
-    membership per generator answers Contained.  Otherwise, or when a
-    generator is missing, every basis row is reduced, which finds the
-    witness."""
+    closed under its elements' products within the bound).  So the probe
+    reduces one generator after another, and the first one `big` misses is
+    the witness.  Otherwise it reduces the basis rows of `small`."""
     if small.degree_bound != big.degree_bound:
         raise BoundMismatch("containment probe needs equal degree bounds")
     if small.spres is not big.spres:
         raise BoundMismatch("containment probe needs the same presentation")
-    if (
-        big.additive
-        and big.side in ("twoSided", small.side)
-        and all(big.member(g) == "Verified" for g in small.generators if g)
-    ):
-        return ContainmentReport("Contained")
-    for row in small.basis():
-        if big.member(row) != "Verified":
-            return ContainmentReport("NotDetectedAtBound", witness=row)
+    decide = big.additive and big.side in ("twoSided", small.side)
+    for x in small.generators if decide else small.basis():
+        if big.member(x) != "Verified":
+            return ContainmentReport("NotDetectedAtBound", witness=x)
     return ContainmentReport("Contained")
 
 
@@ -520,9 +512,8 @@ def spec_diagram(catalog: SpecCatalog):
     diagram; the outer edges between the z-families and I1/I2 are probed
     and reported without being asserted (documented inconsistency between
     the diagram and the monomial-avoidance statement).  The catalog spans
-    are two-sided in one presentation, so a Contained edge costs one
-    membership per generator of the smaller ideal; a NotDetectedAtBound
-    edge still reduces the smaller basis up to its witness.
+    are two-sided in one presentation, so an edge costs at most one
+    membership per generator of the smaller ideal.
     """
     edges = []
     names = catalog.named()

@@ -15,14 +15,14 @@ of tail rules in a pending map from word to coefficient, so equal words
 merge before they are reduced.  Pending words are reduced in decreasing
 (degree, inversions), a pair every rewrite lowers, so each distinct word is
 reduced once (Bergman, The diamond lemma for ring theory, Adv. Math. 1978).
-A tail rule whose descent is a block g^a*h^b with a, b >= 2 rewrites the
-whole block at once: its normal form is filled once per presentation, kept
+A tail rule whose tail letters only q-commute with g, h and each other
+(every tail rule of the presets) rewrites a descent that is a block g^a*h^b
+with a, b >= 2 at once: the block's normal form is filled once per
+presentation by multiplying h^b on the left by g through a table of the
+q-Weyl expansion of g*h^i (Kassel, Quantum Groups, GTM 155, ch. IV), kept
 in the pair cache as the product of the monomials g^a and h^b, and spliced
-in wherever the block recurs.  Where the tail letters only q-commute with
-g, h and each other (every tail rule of the presets), the fill multiplies
-h^b on the left by g through a table of the q-Weyl expansion of g*h^i
-(Kassel, Quantum Groups, GTM 155, ch. IV); any other tail rule fills its
-blocks by reducing them one letter at a time.
+in wherever the block recurs.  Any other tail rule is rewritten one letter
+at a time.
 
 A product of two monomials that no tail rule crosses is not rewritten at
 all: only pure q-commutations reorder it, so it is the merged monomial
@@ -189,9 +189,8 @@ class Presentation:
             if r.tail
         }
         self._has_tails = bool(self._rewrites)
-        # the tail rules (g, h) whose blocks g^a*h^b fill from a table of
-        # g*h^i (see _weyl_block): every tail letter sorts after h and
-        # crosses g, h and the other tail letters by a pure q-commutation
+        # the tail rules (g, h) whose blocks g^a*h^b are spliced, filled
+        # from a table of g*h^i (see _weyl_block and _weyl_premises)
         self._weyl = {key for key in self._rewrites if self._weyl_premises(key)}
         self._qpowers = all(
             s.__class__ is QScalar and s.is_q_power() for s in pure.values()
@@ -424,17 +423,17 @@ class Presentation:
         current word: the map and the heap are made only when two words
         wait at once.  `strategy` ("left", "right" or an RNG) picks the
         descent rewritten at each step.  Only "left" splices in the normal
-        forms of blocks g^a*h^b with a, b >= 2, read from the pair cache and
-        filled by `_product` from the table of g*h^i, or along "right" where
-        the tail rule does not meet its premises; the others read no memo
-        and peel one letter at a time, so comparing strategies compares the
-        two routes.
+        forms of blocks g^a*h^b with a, b >= 2 of the tail rules in `_weyl`,
+        read from the pair cache and filled by `_product` from the table of
+        g*h^i; any other tail rule, and every tail rule along the other
+        strategies, peels one letter at a time and reads no memo, so
+        comparing strategies compares the two routes.
         """
         out = {}
         rules = self.rules
         joined = self._joined
         descent = self._descent
-        splice = strategy == "left"
+        weyl = self._weyl if strategy == "left" else ()
         pending = heap = None
         c, w = coeff, self._merged(word)
         while True:
@@ -462,7 +461,7 @@ class Presentation:
                         "tail rule on a negative power: "
                         f"{self.table.names[g]}^{a}*{self.table.names[h]}^{b}"
                     )
-                if splice and a > 1 and b > 1:
+                if a > 1 and b > 1 and (g, h) in weyl:
                     m1, m2 = list(self._unit), list(self._unit)
                     m1[g], m2[h] = a, b
                     block = self._product(tuple(m1), tuple(m2))
@@ -598,10 +597,9 @@ class Presentation:
 
     def _product(self, m1, m2):
         """m1*m2 as a {monomial: coeff} map, kept in the pair cache: the
-        closed form where no tail rule crosses; for a block g^a*h^b with
-        a, b >= 2, the table fill when its rule is in `_weyl`, else its
-        normal form along "right", which reads no block, so the entry is
-        filled once; else the normal form of the joined word."""
+        closed form where no tail rule crosses; the table fill for a block
+        g^a*h^b with a, b >= 2 whose rule is in `_weyl`; else the normal
+        form of the joined word."""
         cache = self._pair_cache
         prod = cache.get((m1, m2))
         if prod is None:
@@ -609,11 +607,8 @@ class Presentation:
             if prod is None:
                 word = self._word_of_mono(m1) + self._word_of_mono(m2)
                 (g, a), (h, b) = word[0], word[-1]
-                if len(word) == 2 and a > 1 and b > 1:
-                    if (g, h) in self._weyl:
-                        prod = self._weyl_block(g, a, h, b)
-                    else:
-                        prod = self._reduce(1, word, "right")
+                if len(word) == 2 and a > 1 and b > 1 and (g, h) in self._weyl:
+                    prod = self._weyl_block(g, a, h, b)
                 else:
                     prod = self._reduce(1, word)
             if len(cache) >= _PAIRS_CAP:

@@ -144,6 +144,21 @@ def test_contained_edge_reduces_one_row_per_generator(monkeypatch, cat11):
     assert counts == {"reduce": 1}
 
 
+@pytest.mark.parametrize("mn", [(1, 1), (2, -3)])
+def test_missing_generator_is_the_witness(monkeypatch, mn):
+    """I1 against J1(1) at degree 8: one reduction, of the generator of
+    I1, answers NotDetectedAtBound, and the basis of I1 is never built."""
+    cat = build_spec_catalog(params(*mn), degree_bound=8, z_samples=(ONE,))
+    small, big = cat.ideals["I1"], cat.ideals["J1(1)"]
+    counts = {}
+    _count_calls(monkeypatch, Echelon, "reduce", counts)
+    _count_calls(monkeypatch, TruncatedIdeal, "basis", counts)
+    report = containment_probe(small, big)
+    assert report.status == "NotDetectedAtBound"
+    assert report.witness == small.generators[0]
+    assert counts == {"reduce": 1}
+
+
 def test_containment_scans_rows_in_a_non_additive_presentation(monkeypatch):
     """In a quantum torus a product can lower the degree, so the span need
     not be closed under the products of its elements within the bound:
@@ -337,9 +352,9 @@ class ReferenceIdeal(TruncatedIdeal):
 
 def _assert_same_span(ideal, ref):
     """Same pivots in the same order, same rows term by term, same moves."""
-    assert ideal.echelon.order == ref.echelon.order
+    assert list(ideal.echelon.rows) == list(ref.echelon.rows)
     rows, ref_rows = ideal.echelon.rows, ref.echelon.rows
-    for lead in ref.echelon.order:
+    for lead in ref.echelon.rows:
         assert list(rows[lead].items()) == list(ref_rows[lead].items())
     assert ideal._moves == ref._moves
 
@@ -825,16 +840,27 @@ def _random_containment_spans(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_containment_matches_the_row_scan(seed):
     """Every ordered pair of random spans at (1,1) and (2,-3), symbolic
-    and at q0 = 3/2, both sides: the status and the witness are those of
-    the row scan."""
+    and at q0 = 3/2, both sides: the status is that of the row scan, and
+    the witness lies in `small` but not in `big`.  It is the first
+    generator `big` misses when the generators decide, else the row
+    scan's witness."""
     spans = _random_containment_spans(seed)
     seen = set()
     for small in spans:
         for big in spans:
             report = containment_probe(small, big)
             status, witness = _row_scan(small, big)
-            assert (report.status, report.witness) == (status, witness)
+            assert report.status == status
             seen.add((status, small.side, big.side))
+            if status == "Contained":
+                assert report.witness is None
+                continue
+            assert small.member(report.witness) == "Verified"
+            assert big.member(report.witness) == "NotDetected"
+            if big.additive and big.side in ("twoSided", small.side):
+                missed = [g for g in small.generators if big.member(g) != "Verified"]
+                witness = missed[0]
+            assert report.witness == witness
     assert {status for status, _, _ in seen} == {"Contained", "NotDetectedAtBound"}
     assert ("Contained", "left", "twoSided") in seen
 
@@ -852,7 +878,7 @@ def test_closing_i3_from_i1_takes_few_products(monkeypatch):
     i3 = i1.extend([phi2])
     assert (i1.dimension, i3.dimension) == (210, 350)
     assert 0 < counts["multiply"] <= 8 * (i3.dimension - i1.dimension)
-    assert i1.echelon.rows == rows and i3.echelon.order[:210] == i1.echelon.order
+    assert i1.echelon.rows == rows and list(i3.echelon.rows)[:210] == list(i1.echelon.rows)
     assert all(i3.echelon.rows[lead] is row for lead, row in rows.items())
 
 
@@ -886,7 +912,6 @@ class ReferenceEchelon(Echelon):
         lc = rem[lead]
         inv = inverse(lc)
         self.rows[lead] = {m: c * inv for m, c in rem.items()}
-        self.order.append(lead)
         return lead, lc
 
 
@@ -905,7 +930,7 @@ class LockstepEchelon:
     def __init__(self, key, new=None, ref=None):
         self.new = new or Echelon(key)
         self.ref = ref or ReferenceEchelon(key)
-        self.rows, self.order = self.new.rows, self.new.order
+        self.rows = self.new.rows
 
     def copy(self):
         return LockstepEchelon(None, self.new.copy(), self.ref.copy())
@@ -932,7 +957,7 @@ class LockstepEchelon:
             assert _typed([got]) == _typed([ref])
             rows, ref_rows = self.new.rows[got[0]], self.ref.rows[ref[0]]
             assert _typed(rows.items()) == _typed(ref_rows.items())
-        assert self.new.order == self.ref.order
+        assert list(self.new.rows) == list(self.ref.rows)
         return got
 
 
@@ -977,7 +1002,7 @@ def test_echelon_matches_reference_in_cyclicity_probe(monkeypatch, family, sigma
     a, b = (s.gen(name) for name in mod.order[:2])
     w = mod.act(s.power(a, 4) * s.power(b, 3) + s.power(a, 2), mod.cyclic_vector())
     assert cyclicity_probe(mod, w, 4) == "Cyclic"
-    assert len(made) == 1 and len(made[0].order) > 20
+    assert len(made) == 1 and len(list(made[0].rows)) > 20
 
 
 def test_echelon_reduce_cancels_some_keys_and_keeps_others():

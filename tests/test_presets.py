@@ -1,9 +1,11 @@
 """Algebra presets: relation encodings, primed set, factorization, tori."""
 
+import dataclasses
 import random
 
 import pytest
 
+import qheis.suites
 from qheis.errors import InadmissibleOrder, InvalidStructuralMatrix, ZeroParameter
 from qheis.presets import (
     S_ORDERS,
@@ -22,6 +24,7 @@ from qheis.presets import (
 from qheis.qfield import ONE, qpow
 from qheis.rewrite import substitute
 from qheis.sampling import random_element
+from qheis.suites import _S_RECORDS, _TORUS_RECORDS, RunConfig, suite_primed
 
 
 def test_params_validation():
@@ -164,6 +167,44 @@ def test_primed_relations_embedded(mn_params):
     assert mul(ps.eP, ps.bP) == mul(ps.bP, ps.eP).scale(qpow(2 * m * n))
     assert mul(ps.fP, ps.cP) == mul(ps.cP, ps.fP).scale(qpow(-2 * m * n))
     assert mul(ps.eP, ps.fP) == mul(ps.fP, ps.eP).scale(qpow(-2 * m * n))
+
+
+def test_primed_records_name_the_split_rules():
+    """Suite `primed` reads each record off the label `check_morphism`
+    gives a rule of the split model, so a record whose label is no rule
+    could not fail: the 14 labels are the rules other than a*K."""
+    ds = make_D_split(params(2, -3))
+    names = ds.table.names
+    labels = {f"{names[later]}*{names[earlier]}" for later, earlier in ds.rules}
+    records = {**_TORUS_RECORDS, **_S_RECORDS}
+    assert len(records) == 14
+    assert set(records.values()) == labels - {"a*K"}
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        (
+            lambda dq, ps: dataclasses.replace(ps, cP=ps.cP.scale(qpow(1))),
+            {"Ep*cp weyl", "S -> Dq embedding"},
+        ),
+        (
+            lambda dq, ps: dataclasses.replace(ps, bP=dq.multiply(ps.bP, dq.gen("a"))),
+            {"K*bp = bp*K", "Fp*bp weyl", "S -> Dq embedding"},
+        ),
+        (lambda dq, ps: ps, set()),
+    ],
+    ids=["cP-times-q", "bP-times-a", "unchanged"],
+)
+def test_primed_records_flip_on_mutant_images(mutate, failing, monkeypatch):
+    """At (2,-3), a primed image scaled by q or multiplied by a fails
+    exactly the records of the relations it breaks."""
+    p = params(2, -3)
+    mutant = mutate(make_Dq(p), primed_in_D(p))
+    monkeypatch.setattr(qheis.suites, "primed_in_D", lambda _: mutant)
+    records = suite_primed(RunConfig(m=2, n=-3, samples=1))
+    assert len(records) == 16
+    assert {r["check"] for r in records if not r["ok"]} == failing
 
 
 def test_phi_identities_embedded(mn_params):

@@ -1,10 +1,12 @@
 """Blocks g^a*h^b filled from the table of g*h^i, against the rewriter.
 
 `Presentation._weyl_block` fills the pair-cache entry of a block of a tail
-rule that meets its premises; `Presentation._reduce(..., "right")` reduces
-the same word one letter at a time and reads no memo.  They must agree in
-monomials, values and coefficient types, a rule that breaks a premise must
-keep the one-letter fill, and no block of a preset may need the rewriter.
+rule that meets its premises, and only such blocks are spliced;
+`Presentation._reduce(..., "right")` reduces the same word one letter at a
+time and reads no memo.  They must agree in monomials, values and
+coefficient types.  A rule that breaks a premise is rewritten one letter
+at a time along "left" too and leaves no block entry, and no block of a
+preset may need the rewriter.
 """
 
 from fractions import Fraction
@@ -119,9 +121,11 @@ def _filiform():
 )
 def test_premises_pick_the_fill(build, g, h, weyl, monkeypatch):
     """A rule whose tail letter sorts before h, or crosses g by a tail rule,
-    is refused and fills its block along "right"; the rule of the filiform
-    algebra that meets the premises fills from the table.  Either way the
-    block equals the right-strategy normal form and the letter product."""
+    is refused: its block is rewritten one letter at a time and leaves no
+    pair-cache entry.  The rule of the filiform algebra that meets the
+    premises fills its block entry from the table.  Either way one
+    reduction along "left" gives the right-strategy normal form and the
+    letter product."""
     pres = build()
     assert pres.check_confluence().ok
     g, h = pres.index[g], pres.index[h]
@@ -133,26 +137,51 @@ def test_premises_pick_the_fill(build, g, h, weyl, monkeypatch):
     pres = _fresh(pres)
     calls = _spy_on_reduce(pres, monkeypatch)
     nf = pres.normal_form(word)
-    assert calls == (["left"] if weyl else ["left", "right"])
+    assert calls == ["left"]
     assert _typed(nf.terms) == _typed(expected)
-    assert _typed(pres._pair_cache[(_mono(pres, g, 3), _mono(pres, h, 4))]) == _typed(expected)
+    key = (_mono(pres, g, 3), _mono(pres, h, 4))
+    if weyl:
+        assert _typed(pres._pair_cache[key]) == _typed(expected)
+    else:
+        assert key not in pres._pair_cache
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_heisenberg_below, _filiform],
+    ids=["tail-letter-before-h", "tail-letter-crosses-g-by-a-tail"],
+)
+def test_refused_rule_splices_no_block(build, monkeypatch):
+    """The normal form of z^3*y^4 under a refused rule is one reduction
+    along "left" that reads and fills no pair-cache entry, and its value
+    is the right-strategy normal form and the letter product."""
+    pres = _fresh(build())
+    g, h = pres.index["z"], pres.index["y"]
+    assert (g, h) in pres._rewrites and (g, h) not in pres._weyl
+    expected = _fresh(pres)._reduce(1, [(g, 3), (h, 4)], "right")
+    assert _letter_product(pres, [("z", 3), ("y", 4)]) == expected
+    calls = _spy_on_reduce(pres, monkeypatch)
+    monkeypatch.setattr(pres, "_product", None)
+    nf = pres.normal_form([("z", 3), ("y", 4)])
+    assert calls == ["left"] and not pres._pair_cache
+    assert _typed(nf.terms) == _typed(expected)
 
 
 def test_multiply_fills_a_refused_block_once(monkeypatch):
     """multiply(z^3, y^4) on the filiform algebra, whose rule (z, y) is
-    refused the table: the miss reduces the block once, along "right" as a
-    splice reads it, and keeps one pair-cache entry, the product of the
-    letters.  Reducing along "left" first, whose splice filled and stored
-    the entry along "right" before the outer fill overwrote it, made two
-    `_reduce` calls."""
+    refused the table: the miss reduces the word once, along "left" one
+    letter at a time, so `multiply` never runs the reference rewriter, and
+    keeps one pair-cache entry, the product of the monomials."""
     pres = _fresh(_filiform())
     g, h = pres.index["z"], pres.index["y"]
     assert (g, h) in pres._rewrites and (g, h) not in pres._weyl
     expected = _letter_product(pres, [("z", 3), ("y", 4)])
     calls = _spy_on_reduce(pres, monkeypatch)
     got = pres.multiply(pres.gen("z", 3), pres.gen("y", 4))
-    assert calls == ["right"]
+    assert calls == ["left"]
     assert list(pres._pair_cache) == [(_mono(pres, g, 3), _mono(pres, h, 4))]
     assert _typed(got.terms) == _typed(expected)
     right = _fresh(pres)._reduce(1, [(g, 3), (h, 4)], "right")
-    assert list(_typed(got.terms).items()) == list(_typed(right).items())
+    assert _typed(got.terms) == _typed(right)
+    left = _fresh(pres)._reduce(1, [(g, 3), (h, 4)])
+    assert list(_typed(got.terms).items()) == list(_typed(left).items())
