@@ -12,7 +12,6 @@ from .errors import ConstraintViolation, TypeMismatch, UnknownGenerator
 from .presets import (
     AlgebraParams,
     _unprimed_images,
-    make_D_split,
     make_Dq,
     make_Oq,
     make_Uq,
@@ -170,14 +169,13 @@ def zeta_Oq(p: AlgebraParams, z, z1, z2) -> Morphism:
 
 
 def _extend_torus_S_map(p: AlgebraParams, K_img, a_img, s_images, name) -> Morphism:
-    """Dq -> D_split -> Dq: write each generator in the torus (x) S model, then
-    send K, a to K_img, a_img and the primed generators to s_images (the
-    primed elements of Dq by default)."""
-    dq, split = make_Dq(p), make_D_split(p)
+    """The Dq map in one substitution: each generator, written in the torus (x) S
+    model, gets K, a sent to K_img, a_img and the primed generators to s_images
+    (the primed elements of Dq by default)."""
+    dq, cache = make_Dq(p), {}
     images = {"K": K_img, "a": a_img, **primed_in_D(p).images, **s_images}
-    out = compose(Morphism(split, dq, images), Morphism(dq, split, _unprimed_images(p)))
-    out.name = name
-    return out
+    out = {g: substitute(x, images, dq, cache) for g, x in _unprimed_images(p).items()}
+    return Morphism(dq, dq, out, name=name)
 
 
 def zeta_Dq(p: AlgebraParams, z1, z2) -> Morphism:
@@ -213,11 +211,9 @@ def xi_Dq(p: AlgebraParams, z3, z4) -> Morphism:
     return _extend_torus_S_map(p, dq.gen("K"), dq.gen("a"), s_images, name="xi")
 
 
-def solve_zeta_twist(p: AlgebraParams, A, B):
-    """Scalars (z1, z2) with rho_A o rho_B = rho_AB o zeta_{z1,z2}."""
-    comp = compose(rho_Dq(p, A), rho_Dq(p, B))
-    ab = _matmul(A, B)
-    rho_ab = rho_Dq(p, ab)
+def solve_zeta_twist(comp: Morphism, rho_ab: Morphism):
+    """Scalars (z1, z2) with comp = rho_ab o zeta_{z1,z2}, read off the K and a
+    images of the two maps (comp is rho_A o rho_B, rho_ab is rho_{AB})."""
     z1 = _single_coeff(comp.images["K"]) / _single_coeff(rho_ab.images["K"])
     z2 = _single_coeff(comp.images["a"]) / _single_coeff(rho_ab.images["a"])
     return z1, z2
@@ -292,7 +288,26 @@ def iso_Oq_to_Uq(p: AlgebraParams) -> Morphism:
 # CLI surface
 
 
+# the one parameter each family reads, if any
+_FAMILY_READS = {
+    "tau": None,
+    "xi": "i",
+    "zeta": "scalars",
+    "zeta2": "scalars",
+    "rho": "matrix",
+    "xi34": "scalars",
+    "dual-embed": None,
+    "uq-to-oq": None,
+}
+
+
 def family(name: str, p: AlgebraParams, *, i=None, matrix=None, scalars=None) -> Morphism:
+    if name not in _FAMILY_READS:
+        raise ConstraintViolation(f"unknown family {name!r}")
+    given = {"i": i, "matrix": matrix, "scalars": scalars}
+    extra = [k for k, v in given.items() if v is not None and k != _FAMILY_READS[name]]
+    if extra:
+        raise ConstraintViolation(f"{name} takes no parameter {' or '.join(extra)}")
     scalars = scalars or []
     if name == "tau":
         return tau_Oq(p)
@@ -318,6 +333,4 @@ def family(name: str, p: AlgebraParams, *, i=None, matrix=None, scalars=None) ->
         return xi_Dq(p, *scalars)
     if name == "dual-embed":
         return embedding_Uq_into_Oq(p)
-    if name == "uq-to-oq":
-        return iso_Uq_to_Oq(p)
-    raise ConstraintViolation(f"unknown family {name!r}")
+    return iso_Uq_to_Oq(p)

@@ -476,12 +476,12 @@ def suite_aut(cfg: RunConfig):
     rho_ok = True
     for _ in range(SL2_PAIRS):
         A, B = random_sl2(rng), random_sl2(rng)
-        if not check_morphism(rho_Dq(p, A)).ok:
+        rho_a, rho_ab = rho_Dq(p, A), rho_Dq(p, _matmul(A, B))
+        if not check_morphism(rho_a).ok:
             rho_ok = False
-        z1, z2v = solve_zeta_twist(p, A, B)
-        lhs = compose(rho_Dq(p, A), rho_Dq(p, B))
-        rhs = compose(rho_Dq(p, _matmul(A, B)), zeta_Dq(p, z1, z2v))
-        if lhs != rhs:
+        lhs = compose(rho_a, rho_Dq(p, B))
+        z1, z2v = solve_zeta_twist(lhs, rho_ab)
+        if lhs != compose(rho_ab, zeta_Dq(p, z1, z2v)):
             twist_ok = False
     rec("rho morphisms", rho_ok, pairs=SL2_PAIRS)
     rec("rho composition twist", twist_ok, pairs=SL2_PAIRS)

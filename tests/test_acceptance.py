@@ -174,10 +174,10 @@ def test_c07_morphisms():
     for _ in range(20):
         A, B = random_sl2(rng), random_sl2(rng)
         assert check_morphism(rho_Dq(p11, A)).ok
-        z1, z2 = solve_zeta_twist(p11, A, B)
-        assert compose(rho_Dq(p11, A), rho_Dq(p11, B)) == compose(
-            rho_Dq(p11, _matmul(A, B)), zeta_Dq(p11, z1, z2)
-        )
+        comp = compose(rho_Dq(p11, A), rho_Dq(p11, B))
+        rho_ab = rho_Dq(p11, _matmul(A, B))
+        z1, z2 = solve_zeta_twist(comp, rho_ab)
+        assert comp == compose(rho_ab, zeta_Dq(p11, z1, z2))
     _report(7, "embedding, iso, tau/xi/zeta/rho/xi' families, and 20 solved rho twists")
 
 

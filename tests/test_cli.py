@@ -466,6 +466,21 @@ def test_aut_wrong_number_of_scalars_exits_2(family, scalars, capsys):
 
 
 @pytest.mark.parametrize(
+    "options",
+    [
+        ["--family", "rho", "--matrix", "2,1,1,1", "--scalars", "3"],
+        ["--family", "tau", "--i", "3", "--m", "2", "--n", "-2"],
+        ["--family", "dual-embed", "--scalars", "2"],
+    ],
+    ids=["rho-scalars", "tau-i", "dual-embed-scalars"],
+)
+def test_aut_option_its_family_does_not_read_exits_2(options, capsys):
+    code, out = run_cli(["aut", "check", *options])
+    assert code == 2 and out == ""
+    assert "takes no parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "q, coeff", [(None, "q^-2"), ("3/2", "4/9")], ids=["symbolic", "q3/2"]
 )
 def test_nf_on_the_torus(q, coeff):

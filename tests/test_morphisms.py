@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import qheis.morphisms
+import qheis.suites
 from qheis.errors import ConstraintViolation, PresentationError, TypeMismatch
 from qheis.hopf import hopf_Oq, hopf_Uq
 from qheis.morphisms import (
@@ -30,6 +32,7 @@ from qheis.presets import factorize_D, make_Dq, make_Oq, make_Uq, params, primed
 from qheis.qfield import ONE, QScalar, add_scaled, inverse, qpow
 from qheis.rewrite import Element, substitute
 from qheis.sampling import random_sl2
+from qheis.suites import RunConfig, suite_aut
 
 
 def test_embedding_prop(mn_params):
@@ -146,17 +149,19 @@ def test_rho_composition_twist(p11):
     for _ in range(20):
         A = random_sl2(rng)
         B = random_sl2(rng)
-        z1, z2 = solve_zeta_twist(p11, A, B)
         lhs = compose(rho_Dq(p11, A), rho_Dq(p11, B))
+        z1, z2 = solve_zeta_twist(lhs, rho_Dq(p11, _matmul(A, B)))
         rhs = compose(rho_Dq(p11, _matmul(A, B)), zeta_Dq(p11, z1, z2))
         assert lhs == rhs
 
 
 def test_rho_inverse_up_to_twist(p11):
+    from qheis.morphisms import _matmul
+
     A = ((2, 1), (1, 1))
     Ainv = ((1, -1), (-1, 2))
-    z1, z2 = solve_zeta_twist(p11, A, Ainv)
     comp = compose(rho_Dq(p11, A), rho_Dq(p11, Ainv))
+    z1, z2 = solve_zeta_twist(comp, rho_Dq(p11, _matmul(A, Ainv)))
     fixed = compose(comp, zeta_Dq(p11, ONE / z1, ONE / z2))
     assert fixed == identity(comp.source)
 
@@ -300,3 +305,69 @@ def test_image_from_another_presentation_rejected(p11):
     oq, uq = make_Oq(p11), make_Uq(p11)
     with pytest.raises(PresentationError):
         Morphism(oq, oq, {"a": oq.gen("a"), "b": uq.gen("E"), "c": oq.gen("c")})
+
+
+# ---------------------------------------------------------------------------
+# suite `aut`: how many maps one request builds, and that its rho records can fail
+
+
+def test_suite_aut_builds_each_rho_once(monkeypatch):
+    """At (2,3), seed 5: rho_A, rho_B and rho_AB for each of the 5 pairs and
+    one rho for the primed check make 16 rho maps; with the 5 solved zetas,
+    the zeta record and the three xi' maps that is 25 extensions."""
+    calls = {"rho_Dq": 0, "_extend_torus_S_map": 0}
+
+    def spy(name, *modules):
+        real = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+
+    spy("rho_Dq", qheis.suites, qheis.morphisms)
+    spy("_extend_torus_S_map", qheis.morphisms)
+    records = suite_aut(RunConfig(m=2, n=3, seed=5))
+    assert all(r["ok"] for r in records)
+    assert calls == {"rho_Dq": 16, "_extend_torus_S_map": 25}
+
+
+def _det2_rho(p, A):
+    """K -> K^2, a -> a for every A: the map of test_rho_det2_fails_torus_relation."""
+    dq = make_Dq(p)
+    return _extend_torus_S_map(p, dq.gen("K", 2), dq.gen("a"), {}, "rho_A")
+
+
+def _twist_mutant(mutate):
+    def solve(comp, rho_ab):
+        return mutate(*solve_zeta_twist(comp, rho_ab))
+
+    return solve
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 3), (2, -3)])
+@pytest.mark.parametrize(
+    "name, mutant, failing",
+    [
+        (
+            "solve_zeta_twist",
+            _twist_mutant(lambda z1, z2: (inverse(z1), inverse(z2))),
+            {"rho composition twist"},
+        ),
+        ("solve_zeta_twist", _twist_mutant(lambda z1, z2: (z2, z1)), {"rho composition twist"}),
+        (
+            "rho_Dq",
+            _det2_rho,
+            {"rho morphisms", "rho composition twist", "rho fixes primed generators"},
+        ),
+    ],
+    ids=["twist-inverted", "twist-swapped", "rho-det2"],
+)
+def test_aut_rho_records_flip_on_mutants(mn, name, mutant, failing, monkeypatch):
+    """Seed 5 draws the twists (1,1) three times, then (1, q^-1) and (1, q^2),
+    so a wrong twist fails; a det-2 rho fails all three rho records."""
+    monkeypatch.setattr(qheis.suites, name, mutant)
+    records = suite_aut(RunConfig(m=mn[0], n=mn[1], seed=5))
+    assert {r["check"] for r in records if not r["ok"]} == failing
