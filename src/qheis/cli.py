@@ -63,7 +63,7 @@ _OPTIONS = {
     "deg": {"type": int, "default": 8},
     "window": {"type": int, "default": 4},
     "q": {"default": None, "metavar": "P/R", "help": "evaluate at a rational q"},
-    "order": {"default": "J1", "choices": tuple(S_ORDERS)},
+    "order": {"default": None, "choices": tuple(S_ORDERS), "help": "order of S (default J1)"},
     "vec": {"default": "0,0", "help": "basis vector i,j"},
     "kind": {"default": "K", "choices": ("K", "a")},
     "weight": {"action": "store_true", "help": "growth of the weight module"},
@@ -144,7 +144,7 @@ def build_parser():
         _add_common(sp, "q", "deg", run=run)
         sp.add_argument("--ideal", default=None, help="catalog name, e.g. I1 or J1")
         sp.add_argument("--gens", default=None, help="comma-separated generator exprs")
-        sp.add_argument("--side", default="twoSided", choices=("left", "twoSided"))
+        sp.add_argument("--side", default=None, choices=("left", "twoSided"), help="with --gens")
         sp.add_argument("--z", default="1", help="z parameter for the J families")
         if action == "contain":
             sp.add_argument("--other", default=None, help="second catalog name")
@@ -184,7 +184,7 @@ def build_parser():
     sp.add_argument("--i", type=int, default=None, help="index for xi")
 
     verify = subs.add_parser("verify", help="run verification suites")
-    _add_common(verify, "seed", "deg", "window", run=_cmd_verify)
+    _add_common(verify, "seed", "deg", run=_cmd_verify)
     verify.add_argument("--suite", default="all", help="suite name or 'all'")
     verify.add_argument("--samples", type=int, default=30)
     return ap
@@ -210,14 +210,21 @@ def _dispatch(args, out) -> int:
     return 1 if any(not r.get("ok", True) for r in records) else 0
 
 
+def _algebra_context(args, p):
+    """The context of nf and comm: --order orders S and no other algebra."""
+    if args.order is not None and args.algebra != "S":
+        raise ValueError(f"--order applies to --algebra S only, not {args.algebra}")
+    return context_for(args.algebra, p, args.order or "J1", q0=_q0_of(args))
+
+
 def _cmd_nf(args, p):
-    ctx = context_for(args.algebra, p, args.order, q0=_q0_of(args))
+    ctx = _algebra_context(args, p)
     el = elaborate_element(parse(args.expr), ctx)
     return [{"command": "nf", "input": args.expr, **_element_json(el)}]
 
 
 def _cmd_comm(args, p):
-    ctx = context_for(args.algebra, p, args.order, q0=_q0_of(args))
+    ctx = _algebra_context(args, p)
     x = elaborate_element(parse(args.expr1), ctx)
     y = elaborate_element(parse(args.expr2), ctx)
     return [{"command": "comm", **_element_json(ctx.pres.commutator(x, y))}]
@@ -261,8 +268,10 @@ def _ideal_of(args, p):
     ctx = context_for("S", p, q0=_q0_of(args))
     if args.gens:
         gens = [elaborate_element(parse(g), ctx) for g in args.gens.split(",")]
-        ideal = ideal_span(ctx.pres, gens, side=args.side, degree_bound=args.deg)
+        ideal = ideal_span(ctx.pres, gens, side=args.side or "twoSided", degree_bound=args.deg)
         return ctx, ideal, args.gens
+    if args.side is not None:
+        raise ValueError("--side applies to --gens only: a catalog ideal is two-sided")
     name = args.ideal or "I1"
     return ctx, _catalog_ideal(args, p, ctx, name), name
 
@@ -360,17 +369,13 @@ def _cmd_aut_check(args, p):
 def _cmd_verify(args, p):
     env = os.environ.get("QHEIS_SEED")
     seed = args.seed if args.seed is not None else int(env) if env else 0
-    cfg = RunConfig(
-        m=args.m, n=args.n, seed=seed, deg=args.deg, window=args.window, samples=args.samples
-    )
+    cfg = RunConfig(m=args.m, n=args.n, seed=seed, deg=args.deg, samples=args.samples)
     names = tuple(s.strip() for s in args.suite.split(","))
     unknown = [s for s in names if s != "all" and s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, not {args.samples}")
-    if args.window < 1:
-        raise ValueError(f"--window must be at least 1, not {args.window}")
     records, _ = run_suites(names, cfg)
     per_suite: dict = {}
     for r in records:

@@ -204,9 +204,9 @@ class TruncatedIdeal:
 
         A product the span already holds is not formed.  For the product
         (h, t) of a queued pivot r, the reach is the last queue position
-        among the rows its reduction used and the pivot it created; -1
-        when the product is zero, and the last position so far when it is
-        skipped.  So r*h (or h*r) is a sum of rows queued up to
+        among the rows its reduction used and the pivot it created (-1
+        when it used none, as a zero product), and the last position so far
+        when it is skipped.  So r*h (or h*r) is a sum of rows queued up to
         reach(r, h, t) and rows of a closed base.  Let the pivot r' come
         from the move (s, g, r), so r' = (g*r - sum f_i*row_i) / lc on
         side s = left (mirrored on the right), each row_i queued before r'.
@@ -259,14 +259,11 @@ class TruncatedIdeal:
                     prod = (
                         spres.multiply(g, row) if side == "left" else spres.multiply(row, g)
                     )
-                    if not prod:
-                        reach[slot] = -1
-                        continue
                     if not additive and prod.degree() > D:
                         continue
                     new_lead = self._insert(prod.terms, (side, gi, lead))
                     if new_lead is None:
-                        reach[slot] = max(pos_of.get(used, -1) for _, used in self._steps)
+                        reach[slot] = max((pos_of.get(u, -1) for _, u in self._steps), default=-1)
                     else:
                         reach[slot] = pos_of[new_lead] = len(queue)
                         queue.append(new_lead)

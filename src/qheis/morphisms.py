@@ -76,23 +76,27 @@ def identity(pres: Presentation) -> Morphism:
     return Morphism(pres, pres, {g: pres.gen(g) for g in pres.table.names}, name="id")
 
 
-def check_morphism(f: Morphism) -> MorphismReport:
-    """Substitute images into every defining relation and demand zero residual."""
-    src, tgt = f.source, f.target
+def relation_failures(pres: Presentation, image, mul) -> list:
+    """(label "L*E", residual) for each rule L*E = swap*E*L + tail of `pres`
+    whose mul(image(L), image(E)) - (swap*mul(image(E), image(L)) + image(tail))
+    is not zero; `mul` is the target's product for an algebra map, that product
+    with its factors swapped for an anti-map, and scalar * for a character."""
+    names = pres.table.names
+    gens = [image(pres.gen(g)) for g in names]
     failures = []
-    checked = 0
-    for (li, ei), rule in src.rules.items():
-        checked += 1
-        L = src.table.names[li]
-        E = src.table.names[ei]
-        lhs = tgt.multiply(f.images[L], f.images[E])
-        rhs = tgt.multiply(f.images[E], f.images[L]).scale(rule.swap) + f.apply(
-            Element(src, dict(rule.tail))
-        )
-        residual = lhs - rhs
+    for (li, ei), rule in pres.rules.items():
+        L, E = gens[li], gens[ei]
+        residual = mul(L, E) - (rule.swap * mul(E, L) + image(Element(pres, dict(rule.tail))))
         if residual:
-            failures.append((f"{L}*{E}", residual))
-    return MorphismReport(not failures, checked, failures)
+            failures.append((f"{names[li]}*{names[ei]}", residual))
+    return failures
+
+
+def check_morphism(f: Morphism) -> MorphismReport:
+    """Push every defining relation of the source through f and demand a
+    zero residual (`relation_failures` with the target's product)."""
+    failures = relation_failures(f.source, f.apply, f.target.multiply)
+    return MorphismReport(not failures, len(f.source.rules), failures)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -288,49 +292,29 @@ def iso_Oq_to_Uq(p: AlgebraParams) -> Morphism:
 # CLI surface
 
 
-# the one parameter each family reads, if any
-_FAMILY_READS = {
-    "tau": None,
-    "xi": "i",
-    "zeta": "scalars",
-    "zeta2": "scalars",
-    "rho": "matrix",
-    "xi34": "scalars",
-    "dual-embed": None,
-    "uq-to-oq": None,
+# name -> (the one parameter it reads, or None; how many scalars, if any; the
+# message when that parameter is missing or the wrong length; the builder)
+_FAMILIES = {
+    "tau": (None, None, None, lambda p, _: tau_Oq(p)),
+    "xi": ("i", None, "xi needs an integer index i", xi_Oq),
+    "zeta": ("scalars", 3, "zeta on Oq needs three scalars", lambda p, s: zeta_Oq(p, *s)),
+    "zeta2": ("scalars", 2, "zeta on Dq needs two scalars", lambda p, s: zeta_Dq(p, *s)),
+    "rho": ("matrix", None, "rho needs an SL2(Z) matrix", rho_Dq),
+    "xi34": ("scalars", 2, "xi on Dq needs two scalars", lambda p, s: xi_Dq(p, *s)),
+    "dual-embed": (None, None, None, lambda p, _: embedding_Uq_into_Oq(p)),
+    "uq-to-oq": (None, None, None, lambda p, _: iso_Uq_to_Oq(p)),
 }
 
 
 def family(name: str, p: AlgebraParams, *, i=None, matrix=None, scalars=None) -> Morphism:
-    if name not in _FAMILY_READS:
+    if name not in _FAMILIES:
         raise ConstraintViolation(f"unknown family {name!r}")
+    reads, count, needs, build = _FAMILIES[name]
     given = {"i": i, "matrix": matrix, "scalars": scalars}
-    extra = [k for k, v in given.items() if v is not None and k != _FAMILY_READS[name]]
+    extra = [k for k, v in given.items() if v is not None and k != reads]
     if extra:
         raise ConstraintViolation(f"{name} takes no parameter {' or '.join(extra)}")
-    scalars = scalars or []
-    if name == "tau":
-        return tau_Oq(p)
-    if name == "xi":
-        if i is None:
-            raise ConstraintViolation("xi needs an integer index i")
-        return xi_Oq(p, i)
-    if name == "zeta":
-        if len(scalars) != 3:
-            raise ConstraintViolation("zeta on Oq needs three scalars")
-        return zeta_Oq(p, *scalars)
-    if name == "zeta2":
-        if len(scalars) != 2:
-            raise ConstraintViolation("zeta on Dq needs two scalars")
-        return zeta_Dq(p, *scalars)
-    if name == "rho":
-        if matrix is None:
-            raise ConstraintViolation("rho needs an SL2(Z) matrix")
-        return rho_Dq(p, matrix)
-    if name == "xi34":
-        if len(scalars) != 2:
-            raise ConstraintViolation("xi on Dq needs two scalars")
-        return xi_Dq(p, *scalars)
-    if name == "dual-embed":
-        return embedding_Uq_into_Oq(p)
-    return iso_Uq_to_Oq(p)
+    value = given.get(reads)
+    if reads and (value is None or count is not None and len(value) != count):
+        raise ConstraintViolation(needs)
+    return build(p, value)

@@ -483,9 +483,6 @@ def qpow(k: int) -> QScalar:
     return s
 
 
-Q = qpow(1)
-
-
 # ---------------------------------------------------------------------------
 # coefficient helpers (duck-typed over QScalar / Fraction / int)
 

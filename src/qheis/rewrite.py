@@ -138,16 +138,22 @@ class Element:
         return max(self.pres.degree_of(m) for m in self.terms)
 
     def inverse_monomial(self):
-        """Inverse of a one-term element supported on invertible generators."""
+        """Inverse of a one-term element c*m on invertible generators: m times
+        the monomial n of the negated exponents is a scalar s in closed form,
+        so the inverse is (c*s)^-1 * n; refused when a tail rule joins two
+        letters of m."""
         if len(self.terms) != 1:
             raise ValueError("only single-term elements can be inverted")
         (mono, coeff), = self.terms.items()
-        inv = self.pres.table.invertible
-        if any(e and not inv[i] for i, e in enumerate(mono)):
-            raise NegativePowerOfNonInvertible(self.pres.render_monomial(mono))
-        word = [(i, -e) for i, e in reversed(list(enumerate(mono))) if e]
-        out = self.pres._reduce(inverse(coeff), word)
-        return Element(self.pres, out)
+        pres = self.pres
+        if any(e and not inv for e, inv in zip(mono, pres.table.invertible)):
+            raise NegativePowerOfNonInvertible(pres.render_monomial(mono))
+        neg = tuple(-e for e in mono)
+        prod = pres._skew_product(mono, neg)
+        if prod is None:
+            raise PresentationError(f"tail rule between letters of {pres.render_monomial(mono)}")
+        (c,) = prod.values()
+        return Element(pres, {neg: inverse(coeff * c)})
 
     def __str__(self):
         return self.pres.render_element(self)

@@ -61,7 +61,6 @@ class RunConfig:
     n: int = 1
     seed: int = 0
     deg: int = 8
-    window: int = 4
     samples: int = 30
 
     @property
@@ -287,11 +286,15 @@ def suite_modules(cfg: RunConfig):
     return records
 
 
+# the layers -I..I of the weight modules of suites weights and growth
+WEIGHT_WINDOW = 4
+
+
 def suite_weights(cfg: RunConfig):
     p = cfg.params
     records = []
     lam = QScalar(2)
-    I = min(cfg.window, 4)
+    I = WEIGHT_WINDOW
     for kind in ("K", "a"):
         mod = QuotientModule("J1", ZERO, ZERO, p)
         wm = WeightModule(kind, lam, mod, truncation=I)
@@ -349,7 +352,7 @@ def suite_growth(cfg: RunConfig):
                 "slope": round(slope, 4),
             }
         )
-        wm = WeightModule("K", ONE, mod, truncation=cfg.window)
+        wm = WeightModule("K", ONE, mod, truncation=WEIGHT_WINDOW)
         wslope = growth_exponent(wm, GROWTH_D_MAX)
         records.append(
             {

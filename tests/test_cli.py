@@ -554,15 +554,61 @@ def test_verify_with_fewer_than_one_sample_exits_2(samples, capsys):
     assert capsys.readouterr().err == f"error: --samples must be at least 1, not {samples}\n"
 
 
+def test_verify_takes_no_window(capsys):
+    """The weight modules of suites weights and growth have a fixed window
+    of 4 layers each side, so verify takes no --window to ignore."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "weights", "--window", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --window 4" in captured.err
+
+
 @pytest.mark.parametrize("window", ["0", "-2"])
 def test_verify_with_a_window_below_one_exits_2(window, capsys):
-    """With window 0 the weights suite's relation loops run over no layer,
-    so its checks would pass while checking nothing."""
-    code, out = run_cli(["verify", "--suite", "weights", f"--window={window}"])
-    assert (code, out) == (2, "")
-    assert capsys.readouterr().err == f"error: --window must be at least 1, not {window}\n"
-    code, out = run_cli(["verify", "--suite", "weights", "--window", "1"])
-    assert code == 0 and lines_of(out)[-1]["failed"] == 0
+    """A window below one, which would leave the weights suite's relation
+    loops over no layer, is refused like any other --window."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "weights", f"--window={window}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --window={window}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["nf", "--algebra", "Dq", "--order", "J3", "E*c"],
+         "error: --order applies to --algebra S only, not Dq\n"),
+        (["comm", "--order", "J2", "E", "c"],
+         "error: --order applies to --algebra S only, not Dq\n"),
+        (["ideal", "span", "--ideal", "J1", "--side", "left"],
+         "error: --side applies to --gens only: a catalog ideal is two-sided\n"),
+        (["ideal", "member", "--side", "twoSided", "phi1"],
+         "error: --side applies to --gens only: a catalog ideal is two-sided\n"),
+    ],
+    ids=["nf --order on Dq", "comm --order on Dq", "span --side on J1", "member --side on I1"],
+)
+def test_option_the_command_would_ignore_exits_2(argv, err, capsys):
+    """--order orders S only, and a catalog span is always two-sided, so
+    each would be accepted and then ignored."""
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == err
+
+
+def test_order_and_side_still_apply_where_they_are_read():
+    def record(argv):
+        code, out = run_cli(argv)
+        assert code == 0
+        return lines_of(out)[0]
+
+    nf = ["nf", "--algebra", "S", "Ep*Fp*bp*cp"]
+    assert record(nf)["text"] == record([*nf, "--order", "J1"])["text"] == "Ep*Fp*bp*cp"
+    assert record([*nf, "--order", "J3"])["text"] == "q^-2*Ep*bp*Fp*cp + Ep*cp"
+    span = ["ideal", "span", "--gens", "cp", "--deg", "3"]
+    assert record(span)["dimension"] == record([*span, "--side", "twoSided"])["dimension"] == 35
+    assert record([*span, "--side", "left"])["dimension"] == 15
 
 
 def _leaf_commands(parser, path=()):

@@ -1,14 +1,20 @@
 """Hopf layer: axioms, dual pairing, module-algebra action, smash relations."""
 
+import operator
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+import qheis.hopf
+import qheis.morphisms
+import qheis.suites
 from qheis.hopf import DualPairing, HopfStructure, check_hopf_axioms, hopf_Oq, hopf_Uq
-from qheis.morphisms import Morphism
+from qheis.morphisms import Morphism, zeta_Oq
 from qheis.presets import make_Dq, make_Oq, make_Uq, params
-from qheis.qfield import ONE, ZERO, qpow
+from qheis.qfield import ONE, ZERO, QScalar, qpow
+from qheis.rewrite import Element
 from qheis.sampling import random_element
 from qheis.suites import RunConfig, run_suites
 
@@ -111,6 +117,96 @@ def test_relation_check_catches_a_counit_that_is_no_algebra_map(mn_params):
     h = hopf_Oq(mn_params)
     mutant = replace(h, group_like=h.group_like | {h.pres.index["b"]})
     assert check_hopf_axioms(mutant, samples=0).relation_failures == [("counit", "b*a")]
+
+
+def test_relation_checks_share_one_walker(p11, monkeypatch):
+    """Delta (through check_morphism), S and eps each walk the rules of Oq
+    once through `relation_failures`: S with its factors swapped and eps
+    with the scalar product.  A mutant that breaks both S and eps lists
+    every antipode failure before every counit failure."""
+    h = hopf_Oq(p11)
+    walked = []
+    real = qheis.morphisms.relation_failures
+
+    def spy(pres, image, mul):
+        walked.append((pres, image, mul))
+        return real(pres, image, mul)
+
+    monkeypatch.setattr(qheis.morphisms, "relation_failures", spy)
+    monkeypatch.setattr(qheis.hopf, "relation_failures", spy)
+    assert check_hopf_axioms(h, samples=0).relation_failures == []
+    (_, delta, _), (_, antipode, swapped), (_, counit, scalar) = walked
+    assert [pres for pres, _, _ in walked] == [h.pres] * 3
+    assert delta == h.delta.apply and antipode == h.antipode and counit == h.counit
+    a, b = h.pres.gen("a"), h.pres.gen("b")
+    assert swapped(a, b) == b * a and scalar is operator.mul
+    oq = h.pres
+    mutant = replace(
+        h,
+        s_images={**h.s_images, "b": oq.gen("b", 2).scale(qpow(5))},
+        group_like=h.group_like | {oq.index["b"]},
+    )
+    assert check_hopf_axioms(mutant, samples=0).relation_failures == [
+        ("antipode", "b*a"), ("counit", "b*a"),
+    ]
+
+
+def _uq_delta_mutant(p):
+    """Delta(E) = E (x) K^m + q 1 (x) E: still an algebra map, but neither
+    coassociative nor counital."""
+    h = hopf_Uq(p)
+    uq, sq = h.pres, h.pres.tensor_square()
+    dE = sq.normal_form([("E(1)", 1), ("K(2)", p.m)]) + sq.normal_form([("E(2)", 1)]).scale(qpow(1))
+    return replace(h, delta=Morphism(uq, sq, {**h.delta.images, "E": dE}))
+
+
+def test_a_coproduct_that_is_an_algebra_map_fails_the_sampled_laws(monkeypatch):
+    """At (2,3) the mutant passes every relation check and fails the sampled
+    coassociativity, counit and antipode laws; suite hopf reports it in the
+    Uq record only, with no relation failure."""
+    p = params(2, 3)
+    mutant = _uq_delta_mutant(p)
+    report = check_hopf_axioms(mutant, samples=30, seed=5)
+    assert report.relation_failures == []
+    assert {law for _, law in report.sample_failures} == {"coassociativity", "counit", "antipode"}
+    monkeypatch.setattr(qheis.suites, "hopf_Uq", lambda _: mutant)
+    records = run_suites(["hopf"], RunConfig(m=2, n=3, seed=5))[0]
+    assert [(r["check"], r["ok"], r["relation_failures"]) for r in records] == [
+        ("Oq axioms", True, 0), ("Uq axioms", False, 0),
+    ]
+    assert records[1]["sample_failures"] == len(report.sample_failures)
+
+
+def _rescaled(x, k):
+    """Each monomial of x times (1 + its degree)^k: a linear bijection of Oq
+    that is no algebra map."""
+    return Element(
+        x.pres, {m: c * Fraction(1 + x.pres.degree_of(m)) ** k for m, c in x.terms.items()}
+    )
+
+
+def _mutant_act(name, p):
+    act = DualPairing.act
+    if name == "doubled":  # twice the action: neither law holds
+        return lambda self, u, x: act(self, u, x).scale(2)
+    if name == "conjugated":  # still a module, no module algebra
+        return lambda self, u, x: _rescaled(act(self, u, _rescaled(x, 1)), -1)
+    # u.zeta(x), zeta an algebra automorphism of Oq: Leibniz holds, the module law not
+    zeta = zeta_Oq(p, QScalar(2), qpow(1), QScalar(-3))
+    return lambda self, u, x: act(self, u, zeta.apply(x))
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 3), (2, -3)])
+@pytest.mark.parametrize(
+    "mutant, failing",
+    [("doubled", {"leibniz", "associativity"}), ("conjugated", {"leibniz"}),
+     ("twisted", {"associativity"})],
+)
+def test_module_algebra_laws_fail_on_mutant_actions(mn, mutant, failing, monkeypatch):
+    p = params(*mn)
+    monkeypatch.setattr(DualPairing, "act", _mutant_act(mutant, p))
+    failures = DualPairing(p).check_module_algebra(samples=30, seed=7)
+    assert {law for _, law in failures} == failing
 
 
 def test_antipode_law_on_b_explicit(mn_params):

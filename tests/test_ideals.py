@@ -1042,3 +1042,28 @@ def test_catalog_diagram_and_certificate_form_no_block():
     cert = ideal.certificate(spres.gen("bp") * phi1 * spres.gen("Fp"))
     assert cert is not None
     assert spres._pair_cache and _block_keys(spres) == []
+
+
+@pytest.mark.parametrize("side, dimension, zeros", [("twoSided", 6, 9), ("left", 3, 3)])
+def test_zero_products_follow_the_reach_rule(side, dimension, zeros, monkeypatch):
+    """In k<x, y | y*x = 0> at D = 3 the span of x is x^i*y^j with i >= 1
+    (two-sided) or the powers of x (left).  The rule has a zero swap, so
+    the presentation is not additive and no product is skipped; y times a
+    pivot that starts with x is zero, and a zero product is inserted like
+    any other (it reduces to nothing and reaches no row)."""
+    pres = Presentation.from_relations(
+        names=("x", "y"), invertible=(False, False), degrees=(1, 1),
+        relations=[("y", "x", QScalar(0), [])],
+    )
+    formed = []
+    real = Presentation.multiply
+    monkeypatch.setattr(
+        Presentation, "multiply", lambda *a: formed.append(real(*a)) or formed[-1]
+    )
+    ideal = ideal_span(pres, [pres.gen("x")], side=side, degree_bound=3)
+    assert sum(not prod for prod in formed) == zeros
+    assert ideal.dimension == dimension
+    assert sorted(ideal.echelon.rows) == sorted(
+        (i, j) for i in range(1, 4) for j in range(4 - i) if side == "twoSided" or j == 0
+    )
+    _assert_same_span(ideal, ReferenceIdeal(pres, ideal.generators, side, 3))

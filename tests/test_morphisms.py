@@ -221,6 +221,43 @@ def test_family_dispatch(p11):
         family("xi", p11)
 
 
+@pytest.mark.parametrize(
+    "name, given, message",
+    [
+        ("nope", {}, "unknown family 'nope'"),
+        ("xi", {}, "xi needs an integer index i"),
+        ("zeta", {}, "zeta on Oq needs three scalars"),
+        ("zeta", {"scalars": [2, 3]}, "zeta on Oq needs three scalars"),
+        ("zeta2", {"scalars": [2]}, "zeta on Dq needs two scalars"),
+        ("rho", {}, "rho needs an SL2(Z) matrix"),
+        ("xi34", {"scalars": [1, 2, 3]}, "xi on Dq needs two scalars"),
+        ("tau", {"i": 3}, "tau takes no parameter i"),
+        ("rho", {"i": 1, "scalars": [2]}, "rho takes no parameter i or scalars"),
+    ],
+)
+def test_family_refusals(p11, name, given, message):
+    with pytest.raises(ConstraintViolation) as exc:
+        family(name, p11, **given)
+    assert str(exc.value) == message
+
+
+def test_each_family_builds_its_map(p11):
+    q2, three = qpow(2), QScalar(3)
+    built = {
+        "tau": (family("tau", p11), tau_Oq(p11)),
+        "xi": (family("xi", p11, i=0), xi_Oq(p11, 0)),
+        "zeta": (family("zeta", p11, scalars=[q2, three, 2]), zeta_Oq(p11, q2, three, 2)),
+        "zeta2": (family("zeta2", p11, scalars=[q2, three]), zeta_Dq(p11, q2, three)),
+        "rho": (family("rho", p11, matrix=((2, 1), (1, 1))), rho_Dq(p11, ((2, 1), (1, 1)))),
+        "xi34": (family("xi34", p11, scalars=[q2, three]), xi_Dq(p11, q2, three)),
+        "dual-embed": (family("dual-embed", p11), embedding_Uq_into_Oq(p11)),
+        "uq-to-oq": (family("uq-to-oq", p11), iso_Uq_to_Oq(p11)),
+    }
+    assert set(built) == set(qheis.morphisms._FAMILIES)
+    for name, (got, want) in built.items():
+        assert got == want and got.name == want.name, name
+
+
 def test_families_seeded_parameter_draws(p11):
     """20 seeded scalar/index draws per family, all relation-preserving."""
     from qheis.sampling import random_scalar

@@ -13,8 +13,9 @@ from qheis.errors import (
     UnknownGenerator,
 )
 from qheis.presets import S_ORDERS, make_D_split, make_Dq, make_Oq, make_S, make_Uq, params
-from qheis.qfield import ONE, qpow
-from qheis.rewrite import Presentation, RewriteRule, substitute
+from qheis.presets import make_quantum_torus
+from qheis.qfield import ONE, inverse, qpow
+from qheis.rewrite import Element, Presentation, RewriteRule, substitute
 from qheis.sampling import random_element
 
 
@@ -557,3 +558,81 @@ def test_power_starts_from_its_base(make, q0, build, ks):
         ]
     assert pres._pair_cache and not [k for k in pres._pair_cache if k[0] == pres._unit]
     assert [k for k in ref._pair_cache if k[0] == ref._unit]
+
+
+# ---------------------------------------------------------------------------
+# inverse_monomial: the closed form of the skew product, no rewriting
+
+
+def _inverse_by_rewriting(x):
+    """The inverse as `inverse_monomial` once formed it: the reversed word of
+    negated letters, reduced with the inverted coefficient."""
+    ((mono, coeff),) = x.terms.items()
+    word = [(i, -e) for i, e in reversed(list(enumerate(mono))) if e]
+    return x.pres._reduce(inverse(coeff), word)
+
+
+def _invertible_presentations():
+    p = params(2, -3)
+    torus = make_quantum_torus(("x", "y", "z"), [
+        [ONE, qpow(1), qpow(-2)], [qpow(-1), ONE, qpow(3)], [qpow(2), qpow(-3), ONE],
+    ])
+    return {
+        "Dq": make_Dq(p),
+        "D0xS": make_D_split(p),
+        "torus": torus,
+        "Dq-q0": make_Dq(p).specialize(Fraction(3, 2)),
+        "torus-q0": torus.specialize(Fraction(3, 2)),
+        "Oq": make_Oq(p),
+        "Uq": make_Uq(p),
+    }
+
+
+@pytest.mark.parametrize("name", list(_invertible_presentations()))
+def test_inverse_monomial_matches_rewriting_and_rewrites_nothing(name, monkeypatch):
+    """On seeded one-term elements over the invertible letters, with int,
+    Fraction and QScalar coefficients: the same terms with coefficients of
+    the same type as the reversed negated word through `_reduce`, a true
+    two-sided inverse, and no call of `_reduce`."""
+    pres = _invertible_presentations()[name]
+    rng = random.Random(29)
+    letters = [i for i, inv in enumerate(pres.table.invertible) if inv]
+    coeffs = [3, -1, Fraction(-2, 5), Fraction(7), qpow(2) * 5, ONE + qpow(1)]
+    cases = []
+    for k in range(40):
+        mono = [0] * len(pres.table.names)
+        for i in letters:
+            mono[i] = rng.randint(-3, 3)
+        cases.append(Element(pres, {tuple(mono): coeffs[k % len(coeffs)]}))
+    calls = []
+    real = Presentation._reduce
+    monkeypatch.setattr(Presentation, "_reduce", lambda *a, **k: calls.append(a) or real(*a, **k))
+    got = [x.inverse_monomial() for x in cases]
+    assert calls == []
+    for x, inv in zip(cases, got):
+        want = _inverse_by_rewriting(x)
+        assert [(m, type(c), c) for m, c in inv.terms.items()] == [
+            (m, type(c), c) for m, c in want.items()
+        ]
+        assert pres.multiply(x, inv) == pres.multiply(inv, x) == pres.one()
+
+
+def test_inverse_of_a_unit_coefficient_is_a_fraction():
+    dq = make_Dq(params(1, 1))
+    ((mono, c),) = dq.gen("K", 2).inverse_monomial().terms.items()
+    (want,) = dq.gen("K", -2).terms
+    assert (mono, type(c), c) == (want, Fraction, 1)
+
+
+def test_inverse_across_a_tail_rule_is_refused():
+    """y*x = q*x*y + 1 with x and y invertible: x*y has no closed-form inverse."""
+    weyl = Presentation.from_relations(
+        names=("x", "y"),
+        invertible=(True, True),
+        degrees=(1, 1),
+        relations=[("y", "x", qpow(1), [(ONE, [])])],
+    )
+    xy = weyl.normal_form([("x", 1), ("y", 1)])
+    with pytest.raises(PresentationError, match="tail rule between letters of x\\*y"):
+        xy.inverse_monomial()
+    assert weyl.gen("x", 2).inverse_monomial() == weyl.gen("x", -2)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import qheis.suites
 from qheis.errors import DegreeTooSmall, NegativePowerOfNonInvertible, TruncationOverflow
 from qheis.errors import WrongOrder, ZeroVector
 from qheis.presets import S_ORDERS, make_S, params
@@ -18,6 +19,7 @@ from qheis.smodules import (
     growth_exponent,
     support,
 )
+from qheis.suites import SUITES, RunConfig
 
 SIGMA_TAU = [(ZERO, ZERO), (ZERO, ONE), (ONE, ZERO)]
 
@@ -319,3 +321,90 @@ def test_dim_filtration_counts_lattice_points(p11):
         count = sum(1 for i in range(d + 1) for j in range(d + 1) if i + j <= d)
         assert mod.dim_filtration(d) == count
         assert wm.dim_filtration(d) == (2 * d + 1) * count
+
+
+# ---------------------------------------------------------------------------
+# the records of suites primed, modules and weights fail on mutants
+
+
+def _labels(kinds, *sigma_tau):
+    """Records of suite modules: each family at each (sigma, tau), one kind each."""
+    return {
+        f"{family}(s={s},t={t}) {kind}"
+        for family in S_ORDERS
+        for s, t in (sigma_tau or SIGMA_TAU)
+        for kind in kinds
+    }
+
+
+def _second_letter_times_q(real):
+    def letter_action(self, gi, key):
+        out = real(self, gi, key)
+        return {k: v * qpow(1) for k, v in out.items()} if gi == 1 else out
+
+    return letter_action
+
+
+def _k_eigenvalue_doubled(real):
+    def eigenvalue(self, t):
+        return self.lam * qpow(-2 * t) if self.kind == "K" else real(self, t)
+
+    return eigenvalue
+
+
+def _support_missing_the_top_layer(real):
+    def support(self):
+        return real(self) - {self.eigenvalue(self.truncation)}
+
+    return support
+
+
+def _sigma_tau_swapped(table):
+    swap = {"sigma": "tau", "tau": "sigma"}
+    return {family: {g: swap[w] for g, w in gens.items()} for family, gens in table.items()}
+
+
+_SUITE_MUTANTS = {
+    # (suite, owner, attribute, mutate the real one): the records it fails
+    "recombine-doubled": (
+        "primed", qheis.suites, "recombine_D",
+        lambda real: lambda p, parts: real(p, parts).scale(2),
+        {"factorization round-trip (degree <= 6)"},
+    ),
+    "sigma-tau-swapped": (
+        "modules", qheis.suites, "FAMILY_SCALARS", _sigma_tau_swapped,
+        _labels(["annihilators"], (ZERO, ONE), (ONE, ZERO)),
+    ),
+    "probe-undetermined": (
+        "modules", qheis.suites, "cyclicity_probe",
+        lambda real: lambda *args: "Undetermined",
+        _labels(["cyclicity"]),
+    ),
+    "letter-times-q": (
+        "modules", QuotientModule, "_letter_action", _second_letter_times_q,
+        _labels(["associativity"]),
+    ),
+    "k-eigenvalue-doubled": (
+        "weights", WeightModule, "eigenvalue", _k_eigenvalue_doubled,
+        {"K-weight Ka = q^-1 aK"},
+    ),
+    "support-short": (
+        "weights", WeightModule, "support", _support_missing_the_top_layer,
+        {"K-weight support", "a-weight support"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 3), (2, -3)], ids=str)
+@pytest.mark.parametrize("mutant", list(_SUITE_MUTANTS))
+def test_suite_records_flip_on_mutants(mn, mutant, monkeypatch):
+    """Each mutant fails exactly its records of its suite at seed 5: a wrong
+    factorization, scalars on the wrong generators, a probe that never
+    certifies, a letter action that is no module, a K eigenvalue whose ladder
+    steps by q^-2 (its support stays consistent, Ka = q^-1 aK does not), and
+    a support short of one layer."""
+    suite, owner, name, mutate, failing = _SUITE_MUTANTS[mutant]
+    cfg = RunConfig(m=mn[0], n=mn[1], seed=5)
+    assert all(r["ok"] for r in SUITES[suite](cfg))
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    assert {r["check"] for r in SUITES[suite](cfg) if not r["ok"]} == failing
