@@ -145,7 +145,7 @@ def build_parser():
         sp.add_argument("--ideal", default=None, help="catalog name, e.g. I1 or J1")
         sp.add_argument("--gens", default=None, help="comma-separated generator exprs")
         sp.add_argument("--side", default=None, choices=("left", "twoSided"), help="with --gens")
-        sp.add_argument("--z", default="1", help="z parameter for the J families")
+        sp.add_argument("--z", default=None, help="z parameter for J1 and J2 (default 1)")
         if action == "contain":
             sp.add_argument("--other", default=None, help="second catalog name")
         if has_expr:
@@ -252,7 +252,7 @@ def _cmd_smash(args, p):
 
 def _catalog_ideal(args, p, ctx, name):
     q0 = _q0_of(args)
-    z = parse_scalar(args.z)
+    z = parse_scalar("1" if args.z is None else args.z)
     if q0 is not None:
         z = evaluate(z, q0)
     gens = catalog_generators(ctx.pres, p, (z,))
@@ -265,6 +265,11 @@ def _catalog_ideal(args, p, ctx, name):
 
 def _ideal_of(args, p):
     """The S context, the span the command names and its label."""
+    if args.gens and args.ideal is not None:
+        raise ValueError("--ideal and --gens both name the ideal: give one")
+    # the catalog names default to I1 and I3, which read no z
+    if args.z is not None and not {"J1", "J2"} & {args.ideal, getattr(args, "other", None)}:
+        raise ValueError("--z applies to the catalog ideals J1 and J2 only")
     ctx = context_for("S", p, q0=_q0_of(args))
     if args.gens:
         gens = [elaborate_element(parse(g), ctx) for g in args.gens.split(",")]

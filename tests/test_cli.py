@@ -611,6 +611,46 @@ def test_order_and_side_still_apply_where_they_are_read():
     assert record([*span, "--side", "left"])["dimension"] == 15
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["ideal", "span", "--gens", "cp", "--deg", "3", "--ideal", "I2"],
+         "error: --ideal and --gens both name the ideal: give one\n"),
+        (["ideal", "span", "--gens", "cp", "--deg", "3", "--ideal", "I2", "--z", "5"],
+         "error: --ideal and --gens both name the ideal: give one\n"),
+        (["ideal", "span", "--gens", "cp", "--deg", "3", "--z", "5"],
+         "error: --z applies to the catalog ideals J1 and J2 only\n"),
+        (["ideal", "span", "--ideal", "I1", "--deg", "3", "--z", "5"],
+         "error: --z applies to the catalog ideals J1 and J2 only\n"),
+        (["ideal", "member", "--z", "2", "phi1"],
+         "error: --z applies to the catalog ideals J1 and J2 only\n"),
+        (["ideal", "contain", "--ideal", "I2", "--z", "1"],
+         "error: --z applies to the catalog ideals J1 and J2 only\n"),
+    ],
+    ids=["span --ideal with --gens", "span --ideal --z with --gens", "span --z with --gens",
+         "span --z on I1", "member --z on I1", "contain --z on I2 and I3"],
+)
+def test_ideal_option_the_command_would_ignore_exits_2(argv, err, capsys):
+    """--gens names the ideal itself, and --z is read for J1 and J2 only,
+    so each would be accepted and then ignored."""
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == err
+
+
+def test_z_still_applies_where_it_is_read():
+    def record(argv):
+        code, out = run_cli(argv)
+        assert code == 0
+        return lines_of(out)[0]
+
+    span = ["ideal", "span", "--ideal", "J1", "--deg", "3"]
+    assert record(span) == record([*span, "--z", "1"])
+    assert record([*span, "--z", "5"])["ideal"] == "J1"
+    contain = ["ideal", "contain", "--ideal", "I2", "--other", "J1"]
+    assert record(contain) == record([*contain, "--z", "1"])
+    assert record(["ideal", "contain", "--gens", "cp", "--other", "J2", "--z", "3", "--deg", "3"])
+
+
 def _leaf_commands(parser, path=()):
     """(command words, subparser) of each command that takes no action."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -263,6 +263,128 @@ def test_action_on_b_squared(mn_params):
     assert got == expected
 
 
+def _reference_pairing(dp):
+    """<mu, mx> derived from the letter values <K, a> = q^-1,
+    <E, c> = <F, b> = 1 (every other letter pair zero), the counits and the
+    laws <uv, x> = sum <u, x_(1)> <v, x_(2)> and
+    <u, xy> = sum <u_(1), x> <u_(2), y>, peeling the first letter of the
+    longer side; independent of the closed form it is compared with."""
+    iF, iK, iE = (dp.uq.index[g] for g in "FKE")
+    ic, ia, ib = (dp.oq.index[g] for g in "cab")
+    memo = {}
+
+    def letter_value(gi, ge, xi, xe):
+        if gi == iK:
+            return qpow(-ge * xe) if xi == ia else ZERO
+        return ONE if (gi, ge, xi, xe) in ((iE, 1, ic, 1), (iF, 1, ib, 1)) else ZERO
+
+    def split_first(mono):
+        """(first signed letter, rest): the monomial is normal-ordered, so
+        letter * rest == mono needs no rewriting."""
+        i = next(i for i, e in enumerate(mono) if e)
+        e = 1 if mono[i] > 0 else -1
+        letter, rest = [0] * len(mono), list(mono)
+        letter[i] = e
+        rest[i] -= e
+        return tuple(letter), tuple(rest)
+
+    def pair(mu, mx):
+        if (mu, mx) in memo:
+            return memo[mu, mx]
+        nu, nx = sum(map(abs, mu)), sum(map(abs, mx))
+        if not nu:
+            out = dp.ho.counit_mono(mx)
+        elif not nx:
+            out = dp.hu.counit_mono(mu)
+        elif nu == 1 and nx == 1:
+            gi = next(i for i, e in enumerate(mu) if e)
+            xi = next(i for i, e in enumerate(mx) if e)
+            out = letter_value(gi, mu[gi], xi, mx[xi])
+        else:
+            if nu > 1:
+                u, v = split_first(mu)
+                splits = [((u, x1), (v, x2), c) for (x1, x2), c in dp.ho._delta_mono(mx).items()]
+            else:
+                x, y = split_first(mx)
+                splits = [((u1, x), (u2, y), c) for (u1, u2), c in dp.hu._delta_mono(mu).items()]
+            out = ZERO
+            for first, second, c in splits:
+                left = pair(*first)
+                if left:
+                    out = out + c * left * pair(*second)
+        memo[mu, mx] = out
+        return out
+
+    return pair
+
+
+def _window(pres, names):
+    """Monomials with the first and last generator of `names` up to 3 and
+    the middle (invertible) one in [-2, 2]."""
+    i, j, k = (pres.index[g] for g in names)
+    out = []
+    for x in range(4):
+        for y in range(-2, 3):
+            for z in range(4):
+                mono = [0, 0, 0]
+                mono[i], mono[j], mono[k] = x, y, z
+                out.append(tuple(mono))
+    return out
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 3), (2, -3)])
+def test_closed_form_pairing_equals_the_derivation_through_the_laws(mn):
+    dp = DualPairing(params(*mn))
+    reference = _reference_pairing(dp)
+    us, xs = _window(dp.uq, "FKE"), _window(dp.oq, "cab")
+    assert len(us) == len(xs) == 80
+    nonzero = 0
+    for mu in us:
+        for mx in xs:
+            value = dp._pair_mono(mu, mx)
+            assert value == reference(mu, mx), (mu, mx)
+            nonzero += bool(value)
+    assert nonzero == 16 * 5 * 5  # (f, e) = (h, g): 16 choices, then any k and s
+
+
+def _mutant_pairing(mutant):
+    """The closed form of `DualPairing._pair_mono` with one part changed."""
+
+    def pair_mono(self, mu, mx):
+        f, k, e = (mu[self.uq.index[g]] for g in "FKE")
+        g, s, h = (mx[self.oq.index[x]] for x in "cab")
+        if (f, e) != (h, g):
+            return ZERO
+        m, n = self.params.m, self.params.n
+        me, nf = m * e, n * f
+        exponent = -k * s + (k * (me - nf) if mutant == "k(me - nf)" else k * (me + nf))
+        if mutant != "no s(nf - me)":
+            exponent += s * (nf - me)
+        value = qpow(exponent)
+        if mutant == "no factorials":
+            return value
+        e_base, f_base = (n * n, m * m) if mutant == "bases swapped" else (m * m, n * n)
+        return value * self._qfact(e, e_base) * self._qfact(f, f_base)
+
+    return pair_mono
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 3), (2, -3)])
+@pytest.mark.parametrize(
+    "mutant, failing",
+    [("none", set()), ("bases swapped", {"leibniz"}), ("no s(nf - me)", {"leibniz"}),
+     ("k(me - nf)", {"leibniz", "associativity"}), ("no factorials", {"leibniz"})],
+)
+def test_module_algebra_laws_fail_on_mutant_pairings(mn, mutant, failing, monkeypatch):
+    """The laws test the closed form against the coproducts.  Swapping the
+    factorial bases q^(m^2) and q^(n^2) changes nothing where m^2 = n^2."""
+    if mutant == "bases swapped" and mn == (1, 1):
+        failing = set()
+    monkeypatch.setattr(DualPairing, "_pair_mono", _mutant_pairing(mutant))
+    failures = DualPairing(params(*mn)).check_module_algebra(samples=30, seed=7)
+    assert {law for _, law in failures} == failing
+
+
 def test_pairing_peeling_order_independence(mn_params):
     """Peeling the O side first must agree with the engine's U-side peeling."""
     dp = DualPairing(mn_params)
@@ -450,7 +572,9 @@ def test_one_hopf_structure_per_presentation(monkeypatch):
     """Suites hopf, pairing-action, smash and aut share one Hopf structure
     of Oq and one of Uq at (2, 3), so each monomial coproduct is computed
     once: with a new structure per call they computed 190 and 91 for 126
-    and 66 distinct monomials."""
+    and 66 distinct monomials.  The closed-form pairing asks for no
+    coproduct of its own, so 99 Oq monomials remain (126 when the pairing
+    was derived through the coproducts)."""
     make_Oq.cache_clear()
     make_Uq.cache_clear()
     computed = {}
@@ -467,5 +591,5 @@ def test_one_hopf_structure_per_presentation(monkeypatch):
     assert ok
     p = params(2, 3)
     assert hopf_Oq(p) is hopf_Oq(p) and hopf_Uq(p) is hopf_Uq(p)
-    assert computed == {"Oq": 126, "Uq": 66}
-    assert len(hopf_Oq(p)._halves) == 126 and len(hopf_Uq(p)._halves) == 66
+    assert computed == {"Oq": 99, "Uq": 66}
+    assert len(hopf_Oq(p)._halves) == 99 and len(hopf_Uq(p)._halves) == 66
